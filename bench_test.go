@@ -250,43 +250,7 @@ func BenchmarkRun(b *testing.B) { benchSubmit(b, false) }
 // buffer attached, bounding the cost of enabling observability.
 func BenchmarkRunTraced(b *testing.B) { benchSubmit(b, true) }
 
-// BenchmarkRunSharded measures per-request simulation cost with the
-// system's libraries partitioned across engine shards. shards=1 bounds
-// the dispatch overhead of the sharded data layout against BenchmarkRun;
-// higher counts add the fork/join cost, which parallel hardware trades
-// for intra-request concurrency (see docs/PERFORMANCE.md "Shard
-// scaling"). Results are byte-identical across all variants.
-func BenchmarkRunSharded(b *testing.B) {
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchSubmitSharded(b, false, shards)
-		})
-	}
-}
-
-// BenchmarkSweepSharded runs the fig6 sweep with sharded systems — the
-// end-to-end shape where intra-run sharding compounds with the run-level
-// worker pool.
-func BenchmarkSweepSharded(b *testing.B) {
-	cfg := benchCfg()
-	cfg.Shards = 2
-	for i := 0; i < b.N; i++ {
-		rep, err := RunExperiment("fig6", cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := rep.Err(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func benchSubmit(b *testing.B, traced bool) {
-	b.Helper()
-	benchSubmitSharded(b, traced, 0)
-}
-
-func benchSubmitSharded(b *testing.B, traced bool, shards int) {
 	b.Helper()
 	cfg := benchCfg()
 	w, err := GenerateWorkload(benchParams(cfg), cfg.Seed)
@@ -298,7 +262,7 @@ func benchSubmitSharded(b *testing.B, traced bool, shards int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys, err := NewSystemWithOptions(hw, pl, SimOptions{Shards: shards})
+	sys, err := NewSystem(hw, pl)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -143,12 +143,7 @@ func setBenchtime(v string) error {
 // testing.Benchmark at the configured scale. The names are part of the
 // schema: simulate-request is the untraced Submit hot path (the
 // allocation-regression guard), simulate-request-traced adds an in-memory
-// trace buffer, simulate-request-shards{2,4} run each request across
-// engine shards on the persistent shard executor (bounding the handoff
-// overhead; results stay byte-identical), simulate-throughput drives the
-// same sharded system through the plan-ahead pipeline (SubmitStream)
-// so successive requests overlap, placement-parallel-batch is the
-// end-to-end placement
+// trace buffer, placement-parallel-batch is the end-to-end placement
 // cost, placement-cluster / placement-organpipe / placement-loadbalance
 // isolate the pipeline's three stages (§5.1 clustering, §5.3 step 6
 // alignment, §5.4 balancing), and engine-schedule / engine-schedule-skewed
@@ -175,16 +170,6 @@ func measureBenchmarks(cfg paralleltape.ExperimentConfig) ([]benchMeasurement, e
 		return nil, err
 	}
 	tbuf := traced.EnableTrace(0)
-	sharded2, err := paralleltape.NewSystemWithOptions(hw, pl, paralleltape.SimOptions{Shards: 2})
-	if err != nil {
-		return nil, err
-	}
-	defer sharded2.Close()
-	sharded4, err := paralleltape.NewSystemWithOptions(hw, pl, paralleltape.SimOptions{Shards: 4})
-	if err != nil {
-		return nil, err
-	}
-	defer sharded4.Close()
 	reqs := w.Requests
 
 	var opErr error
@@ -260,28 +245,6 @@ func measureBenchmarks(cfg paralleltape.ExperimentConfig) ([]benchMeasurement, e
 			}
 		}
 	}
-	// Streaming throughput: the same sharded system driven through the
-	// plan-ahead pipeline (SubmitStream), so request k+1's CPU phase
-	// overlaps request k's event phase. Compare against
-	// simulate-request-shards2 to see what the pipeline buys.
-	throughput := func(b *testing.B) {
-		b.ReportAllocs()
-		i := 0
-		if err := sharded2.SubmitStream(
-			func() *paralleltape.Request {
-				if i >= b.N {
-					return nil
-				}
-				r := &reqs[i%len(reqs)]
-				i++
-				return r
-			},
-			nil,
-		); err != nil {
-			opErr = err
-			b.FailNow()
-		}
-	}
 	engSchedule := func(b *testing.B) {
 		eng := sim.NewEngine()
 		fn := func() {}
@@ -330,9 +293,6 @@ func measureBenchmarks(cfg paralleltape.ExperimentConfig) ([]benchMeasurement, e
 	}{
 		{"simulate-request", "1s", submit(plain, nil)},
 		{"simulate-request-traced", "1s", submit(traced, tbuf)},
-		{"simulate-request-shards2", "1s", submit(sharded2, nil)},
-		{"simulate-request-shards4", "1s", submit(sharded4, nil)},
-		{"simulate-throughput", "1s", throughput},
 		{"placement-parallel-batch", "30x", place},
 		{"placement-cluster", "30x", clusterStage},
 		{"placement-organpipe", "1s", organStage},

@@ -44,9 +44,9 @@ func main() {
 		requests = flag.Int("requests", 0, "override simulated requests per run (0 keeps the default)")
 		workers  = flag.Int("workers", 0, "parallel run workers (0 = GOMAXPROCS)")
 		shards   = flag.Int("shards", 0,
-			"engine shards per simulated system (0 = single engine; results are byte-identical for every value)")
-		pipeline = flag.Bool("pipeline", false,
-			"submit each run's requests through the plan-ahead pipeline (SubmitStream; results are byte-identical either way)")
+			"ignored, kept for one release: every simulated system runs one engine (a negative value is still an error)")
+		_ = flag.Bool("pipeline", false,
+			"ignored, kept for one release: every run submits its requests one at a time")
 		csv         = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		chart       = flag.Bool("chart", false, "append a bandwidth bar chart to each exhibit")
 		jsonOut     = flag.String("json", "", "write a machine-readable benchmark-result document (schema tapebench/bench-result/v1) to this file (- for stdout)")
@@ -147,8 +147,10 @@ func main() {
 		cfg.Requests = *requests
 	}
 	cfg.Workers = *workers
-	cfg.Shards = *shards
-	cfg.Pipeline = *pipeline
+	if *shards < 0 {
+		fmt.Fprintf(os.Stderr, "tapebench: negative -shards %d\n", *shards)
+		os.Exit(2)
+	}
 	if *faultsOn {
 		cfg.Faults = &paralleltape.FaultProfile{
 			Seed:              cfg.Seed ^ 0xFA17,

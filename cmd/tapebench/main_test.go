@@ -92,8 +92,6 @@ func TestBenchResultJSON(t *testing.T) {
 		t.Errorf("config echo wrong: %+v", res)
 	}
 	wantNames := []string{"simulate-request", "simulate-request-traced",
-		"simulate-request-shards2", "simulate-request-shards4",
-		"simulate-throughput",
 		"placement-parallel-batch", "placement-cluster",
 		"placement-organpipe", "placement-loadbalance",
 		"engine-schedule", "engine-schedule-skewed",

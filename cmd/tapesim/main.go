@@ -54,8 +54,8 @@ type options struct {
 	tapes       int
 	capacity    string
 	rate        string
-	shards      int
-	pipeline    bool
+	shards      int  // ignored -shards; still validated
+	pipeline    bool // ignored -pipeline
 	target      string
 	workload    string        // JSON workload trace to load instead of generating
 	tracePath   string        // structured event trace export (.jsonl or .csv)
@@ -103,9 +103,9 @@ func main() {
 	flag.StringVar(&o.capacity, "capacity", "400GB", "cartridge capacity")
 	flag.StringVar(&o.rate, "rate", "80MB", "native transfer rate (bytes/s)")
 	flag.IntVar(&o.shards, "shards", 0,
-		"partition the libraries into this many concurrent engine shards (0 = single engine; results are byte-identical either way)")
+		"ignored, kept for one release: the simulator always runs one engine (a negative value is still an error)")
 	flag.BoolVar(&o.pipeline, "pipeline", false,
-		"submit through the plan-ahead pipeline: group and read-plan request k+1 while request k's events run (results are byte-identical either way)")
+		"ignored, kept for one release: requests are always submitted one at a time")
 	flag.StringVar(&o.target, "request-size", "", "rescale object sizes to this mean request size (e.g. 213GB)")
 	flag.StringVar(&o.workload, "workload", "", "load workload from a JSON trace instead of generating")
 	flag.StringVar(&o.tracePath, "trace", "", "write the structured event trace to this file (JSONL; .csv extension switches to CSV)")
@@ -291,7 +291,6 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	defer sys.Close()
 
 	// Assemble the recorder stack: a streaming exporter for -trace, an
 	// in-memory buffer for -report / -events, and the live-telemetry
@@ -346,7 +345,14 @@ func run(o options) error {
 		fmt.Println("request,bytes,response_s,switch_s,seek_s,transfer_s,bandwidth_MBps,switches,tapes,drives")
 	}
 	ms := make([]tapesys.RequestMetrics, 0, o.requests)
-	perRequest := func(mtr tapesys.RequestMetrics) error {
+	for i := 0; i < o.requests; i++ {
+		if o.midRun != nil && i == o.requests/2 {
+			o.midRun()
+		}
+		mtr, err := sys.Submit(stream.Next())
+		if err != nil {
+			return err
+		}
 		ms = append(ms, mtr)
 		if o.csv {
 			fmt.Printf("%d,%d,%.2f,%.2f,%.2f,%.2f,%.2f,%d,%d,%d\n",
@@ -356,39 +362,6 @@ func run(o options) error {
 			fmt.Printf("req %3d: %8s in %9s  (bw %s, %d switches, %d tapes, %d drives)\n",
 				mtr.Request, units.FormatBytesSI(mtr.Bytes), units.FormatSeconds(mtr.Response),
 				units.FormatRate(mtr.Bandwidth()), mtr.Switches, mtr.TapesTouched, mtr.DrivesUsed)
-		}
-		return nil
-	}
-	if o.pipeline {
-		i := 0
-		err = sys.SubmitStream(
-			func() *paralleltape.Request {
-				if i >= o.requests {
-					return nil
-				}
-				if o.midRun != nil && i == o.requests/2 {
-					o.midRun()
-				}
-				i++
-				return stream.Next()
-			},
-			perRequest,
-		)
-		if err != nil {
-			return err
-		}
-	} else {
-		for i := 0; i < o.requests; i++ {
-			if o.midRun != nil && i == o.requests/2 {
-				o.midRun()
-			}
-			mtr, err := sys.Submit(stream.Next())
-			if err != nil {
-				return err
-			}
-			if err := perRequest(mtr); err != nil {
-				return err
-			}
 		}
 	}
 	agg := metrics.AggregateSession(ms)

@@ -5,8 +5,7 @@
 // story, and queue-depth / component-busy time series.
 //
 // The analysis is deterministic: the same trace file always renders the
-// same bytes, and traces of the same run captured at different shard
-// counts render identical output (docs/OBSERVABILITY.md).
+// same bytes (docs/OBSERVABILITY.md).
 //
 // Usage:
 //

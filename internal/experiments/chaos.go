@@ -44,8 +44,8 @@ func chaosProfile(seed uint64, mtbf float64) *faults.Profile {
 // reports delivered availability and goodput next to the nominal bandwidth
 // so the cost of failures is directly readable. All placements are
 // memoized across points (the fault profile does not change where objects
-// live), and the whole sweep is byte-deterministic per Config for every
-// (Shards, Workers) combination.
+// live), and the whole sweep is byte-deterministic per Config at every
+// worker count.
 func Chaos(cfg Config) (*Report, error) {
 	w, err := cfg.baseWorkload(cfg.target(fig6ReqBytes))
 	if err != nil {

@@ -409,6 +409,24 @@ type errBoom struct{}
 
 func (errBoom) Error() string { return "boom" }
 
+// TestChaosQuickSeed53Completes pins a recovery fix. At Quick scale with
+// seed 53, the mtbf 2500 s object-probability run abandoned a tape group
+// after its last retry while another group of the same library still
+// waited in the queue, every other drive of the library was down, and no
+// repair wakeup was armed; the engine drained with the request open and
+// the row carried "did not complete".
+func TestChaosQuickSeed53Completes(t *testing.T) {
+	cfg := Quick()
+	cfg.Seed = 53
+	rep, err := Chaos(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestConfigBadScale(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Scale = 0

@@ -31,9 +31,6 @@ func (c Config) phaseBreakdown(run Run) (*spans.Breakdown, error) {
 	if err != nil {
 		return nil, fmt.Errorf("place: %w", err)
 	}
-	if run.Opts.Shards == 0 {
-		run.Opts.Shards = c.Shards
-	}
 	sys, err := tapesys.NewWithOptions(run.HW, pr, run.Opts)
 	if err != nil {
 		return nil, err

@@ -8,10 +8,8 @@
 // Each experiment expands into a set of independent simulation runs
 // (scheme × parameter point), executed by a goroutine worker pool; each
 // run is itself a deterministic simulation seeded from the experiment
-// seed — optionally sharded across library-partitioned engines
-// (Config.Shards) with a deterministic join — so reports reproduce
-// exactly for a given Config: neither the worker count nor the shard
-// count changes a single byte of output, only wall-clock time (the
+// seed, so reports reproduce exactly for a given Config: the worker count
+// changes not a single byte of output, only wall-clock time (the
 // determinism contract in docs/ARCHITECTURE.md).
 //
 // Runs within one sweep that share the same (scheme, workload, hardware)
@@ -51,19 +49,6 @@ type Config struct {
 	Requests int
 	// Workers bounds concurrent runs; 0 means GOMAXPROCS.
 	Workers int
-	// Shards partitions each simulated system's libraries into this many
-	// engine shards running concurrently within every request
-	// (tapesys.Options.Shards). 0 keeps the single-engine path. Results
-	// are byte-identical for every value; a run that sets its own
-	// Options.Shards wins over this default.
-	Shards int
-	// Pipeline submits each run's request stream through
-	// tapesys.System.SubmitStream, overlapping the grouping/read-planning
-	// of the next request with the event phase of the current one. Results
-	// are byte-identical to the plain Submit loop at every shard count —
-	// the pipelined phase depends only on the placement — so this is a
-	// pure throughput knob.
-	Pipeline bool
 	// Scale shrinks the experiment for quick runs (1.0 = the paper's
 	// full scale). The object population, the request length range, the
 	// figure request-size targets, and (via Quick) the cartridge capacity
@@ -273,9 +258,6 @@ func (pc *placeCache) place(r Run) (*placement.Result, error) {
 // execute performs one run start to finish. pc may be nil (no memoization).
 func (c Config) execute(r Run, pc *placeCache) Row {
 	row := Row{Label: r.Label, Scheme: r.Scheme.Name(), X: r.X}
-	if r.Opts.Shards == 0 {
-		r.Opts.Shards = c.Shards
-	}
 	if r.Opts.Faults == nil {
 		r.Opts.Faults = c.Faults
 	}
@@ -321,39 +303,15 @@ func (c Config) execute(r Run, pc *placeCache) Row {
 			row.Err = err
 			return row
 		}
-		if c.Pipeline {
-			i := 0
-			err = sys.SubmitStream(
-				func() *model.Request {
-					if i >= n {
-						return nil
-					}
-					i++
-					return stream.Next()
-				},
-				func(m tapesys.RequestMetrics) error {
-					ms = append(ms, m)
-					return nil
-				},
-			)
+		for i := 0; i < n; i++ {
+			m, err := sys.Submit(stream.Next())
 			if err != nil {
-				row.Err = fmt.Errorf("seed %d request %d: %w", si, i-1, err)
+				row.Err = fmt.Errorf("seed %d request %d: %w", si, i, err)
 				return row
 			}
-		} else {
-			for i := 0; i < n; i++ {
-				m, err := sys.Submit(stream.Next())
-				if err != nil {
-					row.Err = fmt.Errorf("seed %d request %d: %w", si, i, err)
-					return row
-				}
-				ms = append(ms, m)
-			}
+			ms = append(ms, m)
 		}
 	}
-	// Release the executor and pipeline workers now rather than waiting
-	// for the GC cleanup: a sweep executes many runs back to back.
-	_ = sys.Close()
 	row.Stats = metrics.AggregateSession(ms)
 	return row
 }

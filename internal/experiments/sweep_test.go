@@ -32,50 +32,36 @@ func sweepJSON(t *testing.T, cfg Config) []byte {
 	return buf.Bytes()
 }
 
-// TestSweepDeterminismAcrossShardsAndWorkers is the sweep-level half of
-// the determinism contract: the full Quick sweep's report JSON must be
-// byte-identical for every (Shards, Workers) combination — neither run
-// parallelism nor intra-run engine sharding may change a single byte of
-// any exhibit. Request count is reduced to keep the 6-sweep matrix inside
-// the test budget; every exhibit still runs.
-func TestSweepDeterminismAcrossShardsAndWorkers(t *testing.T) {
+// TestSweepDeterminismAcrossWorkers is the sweep-level half of the
+// determinism contract: the full Quick sweep's report JSON must be
+// byte-identical at every worker count — run parallelism may not change a
+// single byte of any exhibit. Request count is reduced to keep the
+// sweeps inside the test budget; every exhibit still runs.
+func TestSweepDeterminismAcrossWorkers(t *testing.T) {
 	if testing.Short() {
-		t.Skip("6 full sweeps; skipped in -short")
+		t.Skip("3 full sweeps; skipped in -short")
 	}
 	cfg := Quick()
 	cfg.Requests = 8
 	cfg.Seeds = 1
-	shardCounts := []int{1, 2, 4}
 	workerCounts := []int{1, runtime.GOMAXPROCS(0)}
-	pipelines := []bool{false, true}
 	if raceEnabled {
-		// The race detector slows the sweep ~10x; one sharded+parallel
-		// pipelined combination against the serial baseline still crosses
-		// every goroutine boundary the full matrix does.
+		// The race detector slows the sweep ~10x; one parallel sweep
+		// against the serial baseline still crosses every goroutine
+		// boundary the full matrix does.
 		cfg.Requests = 4
-		shardCounts = []int{4}
 		workerCounts = []int{runtime.GOMAXPROCS(0)}
-		pipelines = []bool{true}
 	}
 
 	base := cfg
-	base.Shards = 1
 	base.Workers = 1
 	want := sweepJSON(t, base)
 
-	for _, shards := range shardCounts {
-		for _, workers := range workerCounts {
-			for _, pipeline := range pipelines {
-				c := cfg
-				c.Shards = shards
-				c.Workers = workers
-				c.Pipeline = pipeline
-				got := sweepJSON(t, c)
-				if !bytes.Equal(got, want) {
-					t.Errorf("sweep JSON diverges at shards=%d workers=%d pipeline=%v (%d vs %d bytes)",
-						shards, workers, pipeline, len(got), len(want))
-				}
-			}
+	for _, workers := range workerCounts {
+		c := cfg
+		c.Workers = workers
+		if got := sweepJSON(t, c); !bytes.Equal(got, want) {
+			t.Errorf("sweep JSON diverges at workers=%d (%d vs %d bytes)", workers, len(got), len(want))
 		}
 	}
 }

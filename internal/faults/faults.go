@@ -8,21 +8,19 @@
 //
 // Every random draw comes from a private SplitMix64 stream derived from
 // Profile.Seed and the identity of the device alone — never from the
-// workload, the wall clock, or the engine shard layout — so a device's
-// failure schedule is a pure function of (seed, device). The tape-system
-// simulator queries the injector with non-decreasing per-device times
-// (operation boundaries on that device's engine), which keeps the lazily
-// sampled timelines O(1) amortized per query and the resulting traces and
-// exhibit tables byte-identical at every shard count
-// (docs/ARCHITECTURE.md).
+// workload or the wall clock — so a device's failure schedule is a pure
+// function of (seed, device). The tape-system simulator queries the
+// injector with non-decreasing per-device times (operation boundaries on
+// that device), which keeps the lazily sampled timelines O(1) amortized
+// per query and the resulting traces and exhibit tables byte-identical
+// per seed (docs/ARCHITECTURE.md).
 //
 // # Concurrency
 //
-// The injector mutates only per-device state (one timeline per drive and
-// robot, one read counter per cartridge), and every device belongs to
-// exactly one library — hence to exactly one engine shard — so concurrent
-// shard goroutines never touch the same state and the injector needs no
-// locks. The shared Profile is read-only after New.
+// An Injector is not safe for concurrent use: it mutates per-device state
+// (one timeline per drive and robot, one read counter per cartridge) on
+// every query, and belongs to the one System that queries it. The shared
+// Profile is read-only after New, so one Profile may seed many injectors.
 package faults
 
 import (

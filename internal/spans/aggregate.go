@@ -167,9 +167,9 @@ type QueuePoint struct {
 }
 
 // QueueDepthPoints extracts the robot queue-depth series from the
-// session's contention events, stably sorted by (name, time) — each
-// resource's events come from one shard in deterministic order, so the
-// per-name series is shard-count-invariant.
+// session's contention events, stably sorted by (name, time); each
+// resource emits its events in deterministic order, so the per-name
+// series is deterministic too.
 func (s *Session) QueueDepthPoints() []QueuePoint {
 	var pts []QueuePoint
 	for _, r := range s.Requests {

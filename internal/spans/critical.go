@@ -127,7 +127,7 @@ func (op *Op) parts() [NumPhases]float64 {
 // computeCritical builds the request's critical path and accumulates its
 // per-phase attribution. Deterministic by construction: every choice
 // (final operation, predecessor, retry link) is resolved on timestamps,
-// indices, and span IDs, all of which are shard-count-invariant.
+// indices, and span IDs.
 func (r *Request) computeCritical() {
 	r.Critical = r.Critical[:0]
 	if len(r.Ops) == 0 {

@@ -8,8 +8,7 @@
 //
 //   - the submit event opens a request window and the complete event
 //     closes it; every event of the request — including robot contention
-//     events that carry no request ID — lies between the two in any
-//     recorder stream, sharded or not;
+//     events that carry no request ID — lies between the two;
 //   - events with a span ID group into operations: a serve (seek +
 //     transfer on one drive) or a switch chain (rewind → robot wait →
 //     robot move → load → mounted), including the degraded-mode endings
@@ -24,14 +23,13 @@
 // and per-phase latency attribution whose sum equals the request's
 // mechanical span. Every event is claimed by exactly one request (or the
 // boundary bucket for events between requests, or the latch tally for
-// shard-join markers); an unclaimable event is an error, not a silent
+// request-latch markers); an unclaimable event is an error, not a silent
 // drop.
 //
-// Because span IDs and event timestamps are identical at every shard
-// count, the reconstruction — and everything derived from it, including
-// the cmd/tapetrace breakdown tables — is byte-identical for shards
-// {0,1,2,4,...} even though the raw cross-shard event interleaving is
-// scheduling-dependent.
+// The reconstruction resolves every choice on timestamps, indices, and
+// span IDs, so it — and everything derived from it, including the
+// cmd/tapetrace breakdown tables — is byte-identical for every recording
+// of the same run.
 package spans
 
 import (
@@ -179,12 +177,13 @@ type Session struct {
 	// request boundaries and manual drive failures between requests.
 	Boundary []trace.Event
 	// Events is the number of events analyzed: every event consumed except
-	// the shard-join latch markers counted in Latches.
+	// the latch markers counted in Latches.
 	Events int
 	// Latches counts latch-open events. They are claimed but excluded from
-	// all analysis and counters: one fires per engine shard per request, so
-	// their multiplicity is a scheduling artifact, and including them would
-	// break the shard-count invariance of every derived output.
+	// all analysis and counters: they mark the engine's request latch, not
+	// mechanical work, and traces recorded by older builds that split a
+	// request across several engines carry one per engine, so counting
+	// them would make derived outputs depend on how a trace was recorded.
 	Latches int
 }
 
@@ -352,7 +351,7 @@ func (r *Request) finalize() {
 // retry instant. An edge may stay unlinked when the retry was abandoned
 // in queue (no surviving drive ever picked it up). The resolution only
 // reads deterministic fields (timestamps, indices, span IDs), so links
-// are identical at every shard count.
+// are identical for every recording of the same run.
 func (r *Request) linkRetries() {
 	if len(r.edges) == 0 {
 		return

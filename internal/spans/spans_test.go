@@ -64,7 +64,7 @@ func TestBuildHealthyRequest(t *testing.T) {
 	if r.ID != 7 || r.Submit != 0 || r.End != 16 || r.Response != 16 || r.Bytes != 300 {
 		t.Errorf("request header: %+v", r)
 	}
-	// The latch-open marker is tallied separately (shard-join artifact).
+	// The latch-open marker is tallied separately, outside the analysis.
 	if r.Events != len(events)-1 || s.Latches != 1 {
 		t.Errorf("claimed %d events + %d latches, stream has %d", r.Events, s.Latches, len(events))
 	}

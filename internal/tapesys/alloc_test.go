@@ -2,7 +2,6 @@ package tapesys
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"paralleltape/internal/placement"
@@ -13,17 +12,10 @@ import (
 )
 
 // TestSubmitSteadyStateAllocBudget pins the submit path's allocation
-// contract at every shard count: with no recorder attached and the
-// per-system scratch warmed to the workload's high-water mark, Submit
-// performs (almost) no heap allocations. Shards 0 and 1 are the inline
-// single-engine path; shards 2 and 4 exercise the sharded dispatch, which
-// since the persistent executor landed must match — 0 allocs/op — because
-// the handoff is an atomic wake, not a forked goroutine. (AllocsPerRun
-// pins GOMAXPROCS to 1, so under this test the sharded dispatch takes the
-// sequential fallback; TestShardedParallelPathAllocs covers the parallel
-// handoff itself.) The budget of 2 per request leaves slack for
-// map-internal rehashing in the mount table and similar runtime
-// incidentals; the old implementation sat above 200.
+// contract: with no recorder attached and the system's scratch warmed to
+// the workload's high-water mark, Submit performs no heap allocations.
+// Options.Shards is accepted and ignored, so every value — including the
+// 2 older callers still pass — must take the same zero-allocation path.
 func TestSubmitSteadyStateAllocBudget(t *testing.T) {
 	hw := tape.DefaultHardware()
 	hw.Libraries = 4
@@ -71,7 +63,6 @@ func TestSubmitSteadyStateAllocBudget(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer s.Close()
 				stream, err := workload.NewRequestStream(w, rng.New(99))
 				if err != nil {
 					t.Fatal(err)
@@ -92,87 +83,11 @@ func TestSubmitSteadyStateAllocBudget(t *testing.T) {
 				if submitErr != nil {
 					t.Fatal(submitErr)
 				}
-				// Sharded dispatch must cost nothing beyond the inline path:
-				// the executor handoff is allocation-free by contract.
-				budget := 2.0
-				if shards > 1 {
-					budget = 0
-				}
-				if allocs > budget {
-					t.Fatalf("Submit steady state allocates %.1f per request, budget %.0f", allocs, budget)
+				if allocs > 0 {
+					t.Fatalf("Submit steady state allocates %.1f per request, budget 0", allocs)
 				}
 			})
 		}
-	}
-}
-
-// TestShardedParallelPathAllocs pins the parallel dispatch path itself:
-// with GOMAXPROCS ≥ 2 the persistent executor actually runs shards
-// concurrently (AllocsPerRun cannot measure this path — it pins
-// GOMAXPROCS to 1, which routes Submit onto the sequential fallback), so
-// this test counts mallocs around a steady-state run directly. The bound
-// is a small fraction per request: the handoff allocates nothing, and the
-// slack only absorbs runtime incidentals (GC bookkeeping, timer churn).
-func TestShardedParallelPathAllocs(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("needs GOMAXPROCS >= 2 to exercise the parallel dispatch path")
-	}
-	hw := tape.DefaultHardware()
-	hw.Libraries = 4
-	hw.DrivesPerLib = 3
-	hw.TapesPerLib = 12
-	hw.Capacity = 200 * units.MB
-	p := workload.Params{
-		NumObjects:  300,
-		NumRequests: 30,
-		MinObjSize:  1 * units.MB,
-		MaxObjSize:  8 * units.MB,
-		ObjShape:    1.1,
-		MinReqLen:   5,
-		MaxReqLen:   12,
-		ReqLenShape: 1,
-		Alpha:       0.3,
-	}
-	w, err := workload.Generate(p, rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb := placement.ParallelBatch{M: 1}
-	pr, err := pb.Place(w, hw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{2, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s, err := NewWithOptions(hw, pr, Options{Shards: shards})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			stream, err := workload.NewRequestStream(w, rng.New(99))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 200; i++ { // warm scratch, pools, and park tokens
-				if _, err := s.Submit(stream.Next()); err != nil {
-					t.Fatal(err)
-				}
-			}
-			const rounds = 500
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			for i := 0; i < rounds; i++ {
-				if _, err := s.Submit(stream.Next()); err != nil {
-					t.Fatal(err)
-				}
-			}
-			runtime.ReadMemStats(&after)
-			perOp := float64(after.Mallocs-before.Mallocs) / rounds
-			if perOp > 0.1 {
-				t.Fatalf("parallel sharded Submit allocates %.3f objects per request, want ~0", perOp)
-			}
-		})
 	}
 }
 

@@ -2,9 +2,9 @@ package tapesys
 
 // Degraded-mode tests for the fault-injection and recovery layer
 // (recovery.go + internal/faults): a golden JSONL trace pinning the
-// mid-request failure/retry event schema, bit-exact shard equivalence
-// under a stochastic fault profile, request-timeout partial-result
-// accounting, and the FailDrive dead-library semantics. The golden file
+// mid-request failure/retry event schema, a bit-exact Reset replay under a
+// stochastic fault profile, request-timeout partial-result accounting, and
+// the FailDrive dead-library semantics. The golden file
 // regenerates with UPDATE_GOLDEN=1 go test ./internal/tapesys -run
 // FaultGolden; update docs/RESILIENCE.md when the schema changes.
 
@@ -13,7 +13,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"paralleltape/internal/dist"
@@ -124,10 +123,9 @@ func TestFaultTraceDeterminism(t *testing.T) {
 	}
 }
 
-// chaosTestProfile is the stochastic profile used by the cross-shard
-// determinism test: aggressive enough that the 60-request session sees
-// drive failures, robot outages, media errors, and retries on every
-// library.
+// chaosTestProfile is the stochastic profile of the Reset replay test:
+// aggressive enough that the session sees drive failures, robot outages,
+// media errors, and retries on every library.
 func chaosTestProfile() *faults.Profile {
 	return &faults.Profile{
 		Seed:              77,
@@ -139,96 +137,17 @@ func chaosTestProfile() *faults.Profile {
 	}
 }
 
-// faultShardedRun replays the fixed request sequence under the stochastic
-// fault profile with the given shard count, returning all observable
-// outputs plus the trace's per-kind event counts.
-func faultShardedRun(t *testing.T, hw tape.Hardware, w *model.Workload, shards int) (shardedRunResult, map[trace.Kind]int) {
-	t.Helper()
-	pb := placement.ParallelBatch{M: 2}
-	pr, err := pb.Place(w, hw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewWithOptions(hw, pr, Options{
-		Shards:         shards,
-		Faults:         chaosTestProfile(),
-		RequestTimeout: 3000,
-		RetryBackoff:   30,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := s.EnableTrace(0)
-	stream, err := workload.NewRequestStream(w, rng.New(23))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res shardedRunResult
-	for i := 0; i < 60; i++ {
-		m, err := s.Submit(stream.Next())
-		if err != nil {
-			t.Fatalf("shards=%d request %d: %v", shards, i, err)
-		}
-		res.metrics = append(res.metrics, m)
-	}
-	res.drives = s.DriveReport()
-	res.robots = s.RobotReport()
-	res.switches = s.TotalSwitches()
-	res.now = s.Now()
-	return res, trace.CountByKind(buf.Events)
-}
-
-// TestFaultDeterminismAcrossShards is the resilience half of the sharding
-// contract (docs/RESILIENCE.md): with stochastic faults, retries, and a
-// request deadline active, every per-request metric — including the
-// degraded-mode fields — and every lifetime report must be bit-identical
-// at any shard count, and the trace must carry the same multiset of
-// events per kind.
-func TestFaultDeterminismAcrossShards(t *testing.T) {
-	hw, w := shardTestWorkload(t)
-	base, baseKinds := faultShardedRun(t, hw, w, 0)
-	// Guard against a vacuous pass: the profile must actually bite.
-	if baseKinds[trace.KindDriveFailed] == 0 || baseKinds[trace.KindOpRetried] == 0 ||
-		baseKinds[trace.KindMediaError] == 0 {
-		t.Fatalf("fault profile too tame to exercise recovery: %v", baseKinds)
-	}
-	for _, shards := range []int{1, 2, 4} {
-		got, kinds := faultShardedRun(t, hw, w, shards)
-		for i := range base.metrics {
-			if got.metrics[i] != base.metrics[i] {
-				t.Fatalf("shards=%d request %d metrics diverge under faults:\n  base %+v\n  got  %+v",
-					shards, i, base.metrics[i], got.metrics[i])
-			}
-		}
-		if !reflect.DeepEqual(got.drives, base.drives) {
-			t.Fatalf("shards=%d drive report diverges under faults", shards)
-		}
-		if !reflect.DeepEqual(got.robots, base.robots) {
-			t.Fatalf("shards=%d robot report diverges under faults", shards)
-		}
-		if got.now != base.now {
-			t.Fatalf("shards=%d clock %v, want %v", shards, got.now, base.now)
-		}
-		delete(baseKinds, trace.KindLatchOpen)
-		delete(kinds, trace.KindLatchOpen)
-		if !reflect.DeepEqual(kinds, baseKinds) {
-			t.Fatalf("shards=%d event counts diverge under faults:\n  base %v\n  got  %v",
-				shards, baseKinds, kinds)
-		}
-	}
-}
-
 // TestFaultResetReplays verifies System.Reset also rewinds the injector:
 // two passes over the same stream on one faulted system are identical.
 func TestFaultResetReplays(t *testing.T) {
-	hw, w := shardTestWorkload(t)
+	hw, w := streamTestWorkload(t)
 	pb := placement.ParallelBatch{M: 2}
 	pr, err := pb.Place(w, hw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s, err := NewWithOptions(hw, pr, Options{
-		Shards: 2, Faults: chaosTestProfile(), RequestTimeout: 3000, RetryBackoff: 30,
+		Faults: chaosTestProfile(), RequestTimeout: 3000, RetryBackoff: 30,
 	})
 	if err != nil {
 		t.Fatal(err)

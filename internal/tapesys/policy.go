@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"paralleltape/internal/catalog"
 	"paralleltape/internal/faults"
 )
 
@@ -74,8 +75,8 @@ func (p VictimPolicy) String() string {
 // most this many times before the group is abandoned.
 const DefaultMaxRetries = 3
 
-// Options tunes simulator scheduling and execution. The zero value is the
-// paper's behavior on a single engine.
+// Options tunes simulator scheduling and degraded-mode behavior. The zero
+// value is the paper's behavior.
 type Options struct {
 	// Pending selects how each library's queue of offline requested
 	// tapes is ordered before switch drives pull from it.
@@ -84,12 +85,9 @@ type Options struct {
 	// offline tape must be mounted.
 	Victim VictimPolicy
 
-	// Shards partitions the system's libraries into this many engine
-	// shards whose event loops run on separate goroutines within each
-	// Submit (see the package comment's sharded-execution section). 0 and
-	// 1 both select the single-engine path, which runs entirely on the
-	// calling goroutine with no synchronization; values above the library
-	// count are clamped. Results are byte-identical for every value.
+	// Shards is accepted and ignored: every System runs on one engine.
+	// The field remains so existing callers compile; a negative value is
+	// still rejected.
 	Shards int
 
 	// Faults attaches a fault-injection profile (stochastic MTBF/repair
@@ -150,31 +148,31 @@ func (o Options) Validate() error {
 // Every comparator is a total order (byte ties break on the unique slot
 // index), so the unstable slices.SortFunc — which, unlike sort.Slice,
 // allocates nothing — yields the same deterministic order.
-func sortPending(p []pendingGroup, order PendingOrder) {
+func sortPending(p []catalog.TapeGroup, order PendingOrder) {
 	switch order {
 	case SmallestFirst:
-		slices.SortFunc(p, func(a, b pendingGroup) int {
-			if a.g.Bytes != b.g.Bytes {
-				if a.g.Bytes < b.g.Bytes {
+		slices.SortFunc(p, func(a, b catalog.TapeGroup) int {
+			if a.Bytes != b.Bytes {
+				if a.Bytes < b.Bytes {
 					return -1
 				}
 				return 1
 			}
-			return a.g.Tape.Index - b.g.Tape.Index
+			return a.Tape.Index - b.Tape.Index
 		})
 	case SlotOrder:
-		slices.SortFunc(p, func(a, b pendingGroup) int {
-			return a.g.Tape.Index - b.g.Tape.Index
+		slices.SortFunc(p, func(a, b catalog.TapeGroup) int {
+			return a.Tape.Index - b.Tape.Index
 		})
 	default: // LargestFirst
-		slices.SortFunc(p, func(a, b pendingGroup) int {
-			if a.g.Bytes != b.g.Bytes {
-				if a.g.Bytes > b.g.Bytes {
+		slices.SortFunc(p, func(a, b catalog.TapeGroup) int {
+			if a.Bytes != b.Bytes {
+				if a.Bytes > b.Bytes {
 					return -1
 				}
 				return 1
 			}
-			return a.g.Tape.Index - b.g.Tape.Index
+			return a.Tape.Index - b.Tape.Index
 		})
 	}
 }

@@ -46,32 +46,37 @@ func TestNewWithOptionsRejectsBad(t *testing.T) {
 	hw := testHW()
 	pl := manualPlacement(t, hw, 1,
 		map[tape.Key][]objSpec{{Library: 0, Index: 0}: {{0, 100}}}, nil, nil, nil)
-	if _, err := NewWithOptions(hw, pl, Options{Pending: PendingOrder(7)}); err == nil {
-		t.Error("invalid options accepted")
+	for _, opts := range []Options{
+		{Pending: PendingOrder(7)},
+		{Shards: -1},
+	} {
+		if _, err := NewWithOptions(hw, pl, opts); err == nil {
+			t.Errorf("invalid options %+v accepted", opts)
+		}
 	}
 }
 
 func TestSortPendingOrders(t *testing.T) {
-	mk := func() []pendingGroup {
-		return []pendingGroup{
-			{g: catalog.TapeGroup{Tape: tape.Key{Index: 3}, Bytes: 50}},
-			{g: catalog.TapeGroup{Tape: tape.Key{Index: 1}, Bytes: 200}},
-			{g: catalog.TapeGroup{Tape: tape.Key{Index: 2}, Bytes: 100}},
+	mk := func() []catalog.TapeGroup {
+		return []catalog.TapeGroup{
+			{Tape: tape.Key{Index: 3}, Bytes: 50},
+			{Tape: tape.Key{Index: 1}, Bytes: 200},
+			{Tape: tape.Key{Index: 2}, Bytes: 100},
 		}
 	}
 	p := mk()
 	sortPending(p, LargestFirst)
-	if p[0].g.Bytes != 200 || p[2].g.Bytes != 50 {
+	if p[0].Bytes != 200 || p[2].Bytes != 50 {
 		t.Errorf("LargestFirst: %+v", p)
 	}
 	p = mk()
 	sortPending(p, SmallestFirst)
-	if p[0].g.Bytes != 50 || p[2].g.Bytes != 200 {
+	if p[0].Bytes != 50 || p[2].Bytes != 200 {
 		t.Errorf("SmallestFirst: %+v", p)
 	}
 	p = mk()
 	sortPending(p, SlotOrder)
-	if p[0].g.Tape.Index != 1 || p[2].g.Tape.Index != 3 {
+	if p[0].Tape.Index != 1 || p[2].Tape.Index != 3 {
 		t.Errorf("SlotOrder: %+v", p)
 	}
 }

@@ -5,8 +5,8 @@ package tapesys
 // through Options.Faults) takes a drive, robot, or cartridge out from
 // under them, and how interrupted work is re-dispatched onto surviving
 // drives. The full contract — what fails, what retries, what is abandoned,
-// and why every run stays byte-deterministic per seed at every shard
-// count — is documented in docs/RESILIENCE.md.
+// and why every run stays byte-deterministic per seed — is documented in
+// docs/RESILIENCE.md.
 //
 // Design rules the code below follows:
 //
@@ -14,16 +14,13 @@ package tapesys
 //     per-device timelines at the instants the simulation already visits
 //     (serve schedule time, switch stage boundaries, robot grant time,
 //     request submission). No speculative failure or repair events are
-//     pushed onto the engines: a repair wakeup is scheduled only when a
+//     pushed onto the engine: a repair wakeup is scheduled only when a
 //     library would otherwise deadlock (queued groups, zero alive
 //     drives), so the event is always required for liveness and always
-//     precedes the request's completion — the deterministic join never
-//     sees a stray event.
+//     precedes the request's completion.
 //   - Everything here is behind an `inj != nil` (or `d.failed`) guard on
 //     the healthy path, and only code that runs when a fault actually
-//     fires may allocate (the retry and repair closures).
-//   - All state is shard-local or owned by the library's shard, so the
-//     sharded run needs no synchronization beyond the existing join.
+//     fires may allocate (growing the retry pool and queues).
 
 import (
 	"math"
@@ -42,31 +39,31 @@ type retryEntry struct {
 // retryOp is the pooled backoff continuation of one retried group: when the
 // backoff elapses it requeues the group and pumps the library. It is a
 // typed event (sim.Op), so arming a retry captures no closure; the pool
-// (shard.retryPool) makes even a fault storm allocation-free in steady
+// (System.retryPool) makes even a fault storm allocation-free in steady
 // state.
 type retryOp struct {
-	sh  *shard
+	s   *System
 	lib int
 	e   retryEntry
 }
 
 // Run implements sim.Op: the backoff elapsed — requeue and pump.
 func (op *retryOp) Run(uint8) {
-	sh, lib, e := op.sh, op.lib, op.e
+	s, lib, e := op.s, op.lib, op.e
 	op.e = retryEntry{}
-	sh.retryPool = append(sh.retryPool, op)
-	sh.sys.retryQ[lib] = append(sh.sys.retryQ[lib], e)
-	sh.pump(lib)
+	s.retryPool = append(s.retryPool, op)
+	s.retryQ[lib] = append(s.retryQ[lib], e)
+	s.pump(lib)
 }
 
-func (sh *shard) getRetryOp() *retryOp {
-	if n := len(sh.retryPool); n > 0 {
-		op := sh.retryPool[n-1]
-		sh.retryPool[n-1] = nil
-		sh.retryPool = sh.retryPool[:n-1]
+func (s *System) getRetryOp() *retryOp {
+	if n := len(s.retryPool); n > 0 {
+		op := s.retryPool[n-1]
+		s.retryPool[n-1] = nil
+		s.retryPool = s.retryPool[:n-1]
 		return op
 	}
-	return &retryOp{sh: sh}
+	return &retryOp{s: s}
 }
 
 // repairWake is a library's embedded repair-wakeup continuation, armed by
@@ -74,22 +71,22 @@ func (sh *shard) getRetryOp() *retryOp {
 // alive drives. Embedding it in the library makes the one recovery event
 // the simulator may schedule a typed, allocation-free continuation.
 type repairWake struct {
+	s *System
 	l *library
 }
 
 // Run implements sim.Op: the earliest scheduled repair instant arrived —
 // return every due drive to service and pump the library.
 func (w *repairWake) Run(uint8) {
-	l := w.l
-	sh := l.sh
-	sh.sys.repairArmed[l.idx] = false
-	now := sh.eng.Now()
+	s, l := w.s, w.l
+	s.repairArmed[l.idx] = false
+	now := s.eng.Now()
 	for _, d := range l.drives {
 		if d.failed && !d.manual && d.repairAt <= now {
-			sh.repairDrive(d)
+			s.repairDrive(d)
 		}
 	}
-	sh.pump(l.idx)
+	s.pump(l.idx)
 }
 
 // armServeFaults decides, at schedule time, whether the injector cuts the
@@ -97,9 +94,8 @@ func (w *repairWake) Run(uint8) {
 // media-error draw is consumed for every read so the media stream stays
 // aligned regardless of drive state; an earlier drive failure overrides
 // the media outcome.
-func (sh *shard) armServeFaults(op *serveOp, span float64) float64 {
-	s := sh.sys
-	now := sh.eng.Now()
+func (s *System) armServeFaults(op *serveOp, span float64) float64 {
+	now := s.eng.Now()
 	cut := span
 	if failed, frac := s.inj.MediaRead(op.d.lib, op.g.Tape.Index); failed {
 		op.mode = serveMedia
@@ -120,33 +116,31 @@ func (sh *shard) armServeFaults(op *serveOp, span float64) float64 {
 // FailDrive while the op was in flight). The time actually spent still
 // counts as busy time; the payload does not count as served.
 func (op *serveOp) interrupted() {
-	sh, d, g := op.sh, op.d, op.g
+	s, d, g := op.s, op.d, op.g
 	mode, start, attempts, span := op.mode, op.start, op.attempts, op.span
-	sh.putServeOp(op)
-	now := sh.eng.Now()
+	s.putServeOp(op)
+	now := s.eng.Now()
 	elapsed := now - start
 	d.busy = false
 	d.busySeconds += elapsed
-	sh.totalBusy += elapsed
-	s := sh.sys
 	if mode == serveMedia && !d.failed {
 		// Permanent media error: the cartridge is bad, so retrying on
 		// another drive cannot help — the group is lost.
-		sh.mediaErrors++
-		sh.totalMediaErrors++
-		sh.emit(trace.Event{Kind: trace.KindMediaError, Lib: d.lib, Drive: d.idx,
+		s.curMet.MediaErrors++
+		s.totalMediaErrors++
+		s.emit(trace.Event{Kind: trace.KindMediaError, Lib: d.lib, Drive: d.idx,
 			Tape: g.Tape.Index, Req: s.curReq, Span: span, Bytes: g.Bytes, Dur: elapsed})
-		sh.failGroup(g)
-		sh.afterService(d)
+		s.failGroup(g)
+		s.afterService(d)
 		return
 	}
 	if !d.failed {
 		_, until := s.inj.DriveDown(d.gidx, now)
-		sh.observeDriveFailure(d, until, g.Tape.Index, s.curReq, span)
+		s.observeDriveFailure(d, until, g.Tape.Index, s.curReq, span)
 	} else if d.mounted >= 0 {
-		sh.evictMounted(d)
+		s.evictMounted(d)
 	}
-	sh.retryGroup(g, attempts, span)
+	s.retryGroup(g, attempts, span)
 }
 
 // abortIfDown is the switch-stage boundary check: if the switching drive
@@ -154,23 +148,22 @@ func (op *serveOp) interrupted() {
 // chain stops here, the partial switch time is charged, and the group is
 // re-dispatched. Returns true when the chain was aborted.
 func (op *switchOp) abortIfDown() bool {
-	sh, d := op.sh, op.d
-	s := sh.sys
+	s, d := op.s, op.d
 	if !d.failed {
 		if s.inj == nil {
 			return false
 		}
-		down, until := s.inj.DriveDown(d.gidx, sh.eng.Now())
+		down, until := s.inj.DriveDown(d.gidx, s.eng.Now())
 		if !down {
 			return false
 		}
-		sh.observeDriveFailure(d, until, op.g.Tape.Index, s.curReq, op.span)
+		s.observeDriveFailure(d, until, op.g.Tape.Index, s.curReq, op.span)
 	} else if d.mounted >= 0 {
-		sh.evictMounted(d)
+		s.evictMounted(d)
 	}
 	g, attempts, span := op.g, op.attempts, op.span
 	d.busy = false
-	d.switchSeconds += sh.eng.Now() - op.switchBegin
+	d.switchSeconds += s.eng.Now() - op.switchBegin
 	if op.grant != nil {
 		// Defensive: no stage aborts while holding the robot today
 		// (afterMove releases before its check), but a future stage must
@@ -178,8 +171,8 @@ func (op *switchOp) abortIfDown() bool {
 		op.grant.Release()
 		op.grant = nil
 	}
-	sh.putSwitchOp(op)
-	sh.retryGroup(g, attempts, span)
+	s.putSwitchOp(op)
+	s.retryGroup(g, attempts, span)
 	return true
 }
 
@@ -190,22 +183,22 @@ func (op *switchOp) abortIfDown() bool {
 // sweepFaults or a repair wakeup may return it to service. span is the
 // trace span of the operation the failure interrupted (0 when the failure
 // was observed between operations).
-func (sh *shard) observeDriveFailure(d *drive, repairAt float64, tapeCtx int, req int64, span int64) {
+func (s *System) observeDriveFailure(d *drive, repairAt float64, tapeCtx int, req int64, span int64) {
 	d.failed = true
 	d.manual = false
 	d.pinned = false
 	d.repairAt = repairAt
 	if d.mounted >= 0 {
-		sh.evictMounted(d)
+		s.evictMounted(d)
 	}
-	sh.emit(trace.Event{Kind: trace.KindDriveFailed, Lib: d.lib, Drive: d.idx,
-		Tape: tapeCtx, Req: req, Span: span, Dur: repairAt - sh.eng.Now()})
+	s.emit(trace.Event{Kind: trace.KindDriveFailed, Lib: d.lib, Drive: d.idx,
+		Tape: tapeCtx, Req: req, Span: span, Dur: repairAt - s.eng.Now()})
 }
 
 // evictMounted returns a drive's mounted cartridge to its library cell
 // (modeling the repair crew clearing the transport), making the tape
 // mountable by other drives.
-func (sh *shard) evictMounted(d *drive) {
+func (s *System) evictMounted(d *drive) {
 	d.mounted = -1
 	d.headPos = 0
 }
@@ -213,10 +206,10 @@ func (sh *shard) evictMounted(d *drive) {
 // failGroup abandons one tape group of the current request: its payload is
 // accounted as failed and its latch slot opens so the request can still
 // complete (partial-result accounting, docs/RESILIENCE.md).
-func (sh *shard) failGroup(g catalog.TapeGroup) {
-	sh.failedGroups++
-	sh.failedBytes += g.Bytes
-	sh.latch.Done()
+func (s *System) failGroup(g catalog.TapeGroup) {
+	s.curMet.FailedGroups++
+	s.curMet.FailedBytes += g.Bytes
+	s.latch.Done()
 }
 
 // retryGroup re-dispatches a fault-interrupted group: after the configured
@@ -224,21 +217,25 @@ func (sh *shard) failGroup(g catalog.TapeGroup) {
 // picks it up. Past the retry bound the group is abandoned. span is the
 // trace span of the failed operation, so the retry edge links the
 // abandoned chain to its successor in span reconstruction.
-func (sh *shard) retryGroup(g catalog.TapeGroup, attempts int, span int64) {
-	s := sh.sys
+func (s *System) retryGroup(g catalog.TapeGroup, attempts int, span int64) {
 	if attempts+1 > s.maxRetries() {
-		sh.failGroup(g)
+		s.failGroup(g)
+		// The interrupted drive no longer pulls queued work and the
+		// library's other drives may all be down: pump hands the queue to
+		// an idle drive or, through stall, arms the repair wakeup — as
+		// retryOp does after a backoff on the path below.
+		s.pump(g.Tape.Library)
 		return
 	}
-	sh.retries++
-	sh.totalRetries++
+	s.curMet.Retries++
+	s.totalRetries++
 	backoff := s.opts.RetryBackoff
-	sh.emit(trace.Event{Kind: trace.KindOpRetried, Lib: g.Tape.Library, Drive: -1,
+	s.emit(trace.Event{Kind: trace.KindOpRetried, Lib: g.Tape.Library, Drive: -1,
 		Tape: g.Tape.Index, Req: s.curReq, Span: span, Bytes: g.Bytes, Dur: backoff, Queue: attempts + 1})
-	op := sh.getRetryOp()
+	op := s.getRetryOp()
 	op.lib = g.Tape.Library
 	op.e = retryEntry{g: g, attempts: attempts + 1}
-	sh.eng.ScheduleOp(backoff, op, 0)
+	s.eng.ScheduleOp(backoff, op, 0)
 }
 
 // pump dispatches a library's queued groups onto idle alive drives. If the
@@ -246,9 +243,8 @@ func (sh *shard) retryGroup(g catalog.TapeGroup, attempts int, span int64) {
 // a scheduled repair, or abandoning the work if none is coming); if all
 // alive drives are busy it simply returns — each will pull from the queue
 // through afterService when it finishes.
-func (sh *shard) pump(lib int) {
-	s := sh.sys
-	for sh.hasQueued(lib) {
+func (s *System) pump(lib int) {
+	for s.hasQueued(lib) {
 		var idle *drive
 		alive := false
 		for _, d := range s.libs[lib].drives {
@@ -262,14 +258,14 @@ func (sh *shard) pump(lib int) {
 			}
 		}
 		if !alive {
-			sh.stall(lib)
+			s.stall(lib)
 			return
 		}
 		if idle == nil {
 			return
 		}
-		g, attempts, _ := sh.takeQueued(lib)
-		sh.startSwitch(idle, g, attempts)
+		g, attempts, _ := s.takeQueued(lib)
+		s.startSwitch(idle, g, attempts)
 	}
 }
 
@@ -278,8 +274,7 @@ func (sh *shard) pump(lib int) {
 // earliest repair instant (the guard keeps it single); otherwise no repair
 // will ever come — manual failures are permanent — and everything queued
 // is abandoned so the request can complete.
-func (sh *shard) stall(lib int) {
-	s := sh.sys
+func (s *System) stall(lib int) {
 	earliest := math.Inf(1)
 	for _, d := range s.libs[lib].drives {
 		if d.failed && !d.manual && d.repairAt < earliest {
@@ -288,30 +283,30 @@ func (sh *shard) stall(lib int) {
 	}
 	if math.IsInf(earliest, 1) {
 		for {
-			pg, _, ok := sh.takeQueued(lib)
+			g, _, ok := s.takeQueued(lib)
 			if !ok {
 				return
 			}
-			sh.failGroup(pg.g)
+			s.failGroup(g)
 		}
 	}
 	if s.repairArmed[lib] {
 		return
 	}
 	s.repairArmed[lib] = true
-	delay := earliest - sh.eng.Now()
+	delay := earliest - s.eng.Now()
 	if delay < 0 {
 		delay = 0
 	}
-	sh.eng.ScheduleOp(delay, &s.libs[lib].repair, 0)
+	s.eng.ScheduleOp(delay, &s.libs[lib].repair, 0)
 }
 
 // repairDrive returns a failed drive to service mid-request.
-func (sh *shard) repairDrive(d *drive) {
+func (s *System) repairDrive(d *drive) {
 	d.failed = false
 	d.repairAt = 0
-	sh.emit(trace.Event{Kind: trace.KindDriveRepaired, Lib: d.lib, Drive: d.idx,
-		Tape: -1, Req: sh.sys.curReq})
+	s.emit(trace.Event{Kind: trace.KindDriveRepaired, Lib: d.lib, Drive: d.idx,
+		Tape: -1, Req: s.curReq})
 }
 
 // sweepFaults reconciles drive state with the injector's timelines at a
@@ -352,26 +347,21 @@ func (s *System) sweepFaults(t0 float64) {
 
 // hasQueued reports whether a library has retried or pending groups
 // waiting for a drive.
-func (sh *shard) hasQueued(lib int) bool {
-	s := sh.sys
+func (s *System) hasQueued(lib int) bool {
 	return s.retryHead[lib] < len(s.retryQ[lib]) || s.pendHead[lib] < len(s.pending[lib])
 }
 
 // takeQueued pops the next group for a library — retried groups first
 // (they have already waited out a backoff), then the request's pending
-// queue — along with its prior attempt count. Retried groups carry no
-// precomputed plan (the pipeline plans only the initial dispatch); their
-// serve plans from the live head position, which after a mount is
-// beginning-of-tape anyway, so the bits are identical.
-func (sh *shard) takeQueued(lib int) (pendingGroup, int, bool) {
-	s := sh.sys
+// queue — along with its prior attempt count.
+func (s *System) takeQueued(lib int) (catalog.TapeGroup, int, bool) {
 	if s.retryHead[lib] < len(s.retryQ[lib]) {
 		e := s.retryQ[lib][s.retryHead[lib]]
 		s.retryHead[lib]++
-		return pendingGroup{g: e.g}, e.attempts, true
+		return e.g, e.attempts, true
 	}
-	pg, ok := sh.takePending(lib)
-	return pg, 0, ok
+	g, ok := s.takePending(lib)
+	return g, 0, ok
 }
 
 // maxRetries resolves the effective retry bound.
@@ -383,21 +373,9 @@ func (s *System) maxRetries() int {
 }
 
 // TotalRetries returns the lifetime count of fault-interrupted operations
-// re-dispatched to surviving drives, reduced over shards in fixed order.
-func (s *System) TotalRetries() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.totalRetries
-	}
-	return n
-}
+// re-dispatched to surviving drives.
+func (s *System) TotalRetries() int { return s.totalRetries }
 
 // TotalMediaErrors returns the lifetime count of tape groups lost to
-// permanent media errors, reduced over shards in fixed order.
-func (s *System) TotalMediaErrors() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.totalMediaErrors
-	}
-	return n
-}
+// permanent media errors.
+func (s *System) TotalMediaErrors() int { return s.totalMediaErrors }

@@ -16,23 +16,12 @@ import (
 // releases, latch completions) interleave with the tape-system spans in
 // one time-ordered stream.
 
-// SetRecorder attaches a trace recorder to the system and its shard
-// engines; nil disables tracing. With no recorder attached the simulation
-// hot path performs no tracing work at all. When the system runs more than
-// one shard the recorder is wrapped in a trace.Locked so concurrent shard
-// goroutines serialize into the one stream; events then stay deterministic
-// per shard, but the cross-shard interleaving depends on goroutine
-// scheduling (see docs/OBSERVABILITY.md).
+// SetRecorder attaches a trace recorder to the system and its engine; nil
+// disables tracing. With no recorder attached the simulation hot path
+// performs no tracing work at all.
 func (s *System) SetRecorder(r trace.Recorder) {
 	s.rec = r
-	shared := r
-	if r != nil && len(s.shards) > 1 {
-		shared = trace.NewLocked(r)
-	}
-	for _, sh := range s.shards {
-		sh.rec = shared
-		sh.eng.SetRecorder(shared)
-	}
+	s.eng.SetRecorder(r)
 }
 
 // EnableTrace starts in-memory event recording (keeping at most limit
@@ -45,17 +34,6 @@ func (s *System) EnableTrace(limit int) *trace.Buffer {
 
 // DisableTrace stops recording.
 func (s *System) DisableTrace() { s.SetRecorder(nil) }
-
-// emit stamps the event with the current simulated time and records it
-// through the caller's recorder directly — valid only between requests,
-// when no shard goroutine is running and all shard clocks agree.
-func (s *System) emit(ev trace.Event) {
-	if s.rec == nil {
-		return
-	}
-	ev.T = s.Now()
-	s.rec.Record(ev)
-}
 
 // DriveStats summarizes one drive's lifetime activity.
 type DriveStats struct {

@@ -3,79 +3,135 @@ package tapesys
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"testing"
-	"time"
 
 	"paralleltape/internal/model"
 	"paralleltape/internal/placement"
 	"paralleltape/internal/rng"
+	"paralleltape/internal/tape"
+	"paralleltape/internal/units"
 	"paralleltape/internal/workload"
 )
 
-// streamRun replays n requests through SubmitStream on a fresh system and
-// returns the collected metrics plus the final clock.
-func streamRun(t *testing.T, shards, n int) ([]RequestMetrics, float64) {
+// streamTestWorkload builds a 4-library workload exercising mounted hits,
+// switches, and robot contention across all libraries.
+func streamTestWorkload(t *testing.T) (tape.Hardware, *model.Workload) {
 	t.Helper()
-	hw, w := shardTestWorkload(t)
-	pb := placement.ParallelBatch{M: 2}
-	pr, err := pb.Place(w, hw)
+	hw := tape.DefaultHardware()
+	hw.Libraries = 4
+	hw.DrivesPerLib = 3
+	hw.TapesPerLib = 10
+	hw.Capacity = 200 * units.MB
+	p := workload.Params{
+		NumObjects:  500,
+		NumRequests: 40,
+		MinObjSize:  1 * units.MB,
+		MaxObjSize:  8 * units.MB,
+		ObjShape:    1.1,
+		MinReqLen:   6,
+		MaxReqLen:   18,
+		ReqLenShape: 1,
+		Alpha:       0.3,
+	}
+	w, err := workload.Generate(p, rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewWithOptions(hw, pr, Options{Shards: shards})
+	return hw, w
+}
+
+// streamTestSystem places the stream test workload and builds a system on
+// it with the given options.
+func streamTestSystem(t *testing.T, opts Options) (*System, *placement.Result, *model.Workload) {
+	t.Helper()
+	hw, w := streamTestWorkload(t)
+	pr, err := placement.ParallelBatch{M: 2}.Place(w, hw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	s, err := NewWithOptions(hw, pr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, pr, w
+}
+
+// submitLoop submits the first n requests of the fixed stream with a plain
+// Submit loop.
+func submitLoop(t *testing.T, s *System, w *model.Workload, n int) []RequestMetrics {
+	t.Helper()
 	stream, err := workload.NewRequestStream(w, rng.New(23))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ms []RequestMetrics
-	i := 0
-	err = s.SubmitStream(
-		func() *model.Request {
-			if i >= n {
-				return nil
-			}
-			i++
-			return stream.Next()
-		},
-		func(m RequestMetrics) error {
-			ms = append(ms, m)
-			return nil
-		},
-	)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < n; i++ {
+		m, err := s.Submit(stream.Next())
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		ms = append(ms, m)
 	}
-	return ms, s.Now()
+	return ms
 }
 
-// TestSubmitStreamMatchesSubmit is the pipeline half of the determinism
-// contract: SubmitStream must produce bit-identical per-request metrics
-// and final clock to a plain Submit loop, at every shard count — the
-// plan-ahead phase is a pure function of the placement, so overlapping it
-// with the previous request's event phase cannot change anything.
+// TestSubmitStreamMatchesSubmit pins the configuration older callers still
+// use — any Options.Shards value, SubmitStream, Close — to a plain Submit
+// loop on a default system: Shards is accepted and ignored, SubmitStream
+// yields bit-identical per-request metrics and final clock, and Close is
+// idempotent and leaves the system usable.
 func TestSubmitStreamMatchesSubmit(t *testing.T) {
-	hw, w := shardTestWorkload(t)
 	const n = 60
-	base := shardedRun(t, hw, w, 0)
-	for _, shards := range []int{0, 1, 2, 4} {
+	plain, _, w := streamTestSystem(t, Options{})
+	base := submitLoop(t, plain, w, n)
+	for _, shards := range []int{0, 1, 2, 4, 1000} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			ms, now := streamRun(t, shards, n)
-			if len(ms) != len(base.metrics) {
-				t.Fatalf("stream returned %d metrics, want %d", len(ms), len(base.metrics))
+			s, pr, w := streamTestSystem(t, Options{Shards: shards})
+			stream, err := workload.NewRequestStream(w, rng.New(23))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ms []RequestMetrics
+			i := 0
+			err = s.SubmitStream(
+				func() *model.Request {
+					if i >= n {
+						return nil
+					}
+					i++
+					return stream.Next()
+				},
+				func(m RequestMetrics) error {
+					ms = append(ms, m)
+					return nil
+				},
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ms) != len(base) {
+				t.Fatalf("stream returned %d metrics, want %d", len(ms), len(base))
 			}
 			for i := range ms {
-				if ms[i] != base.metrics[i] {
-					t.Fatalf("request %d metrics diverge:\n  submit %+v\n  stream %+v",
-						i, base.metrics[i], ms[i])
+				if ms[i] != base[i] {
+					t.Fatalf("request %d metrics diverge:\n  submit %+v\n  stream %+v", i, base[i], ms[i])
 				}
 			}
-			if now != base.now {
-				t.Fatalf("final clock %v, want %v", now, base.now)
+			if s.Now() != plain.Now() {
+				t.Fatalf("final clock %v, want %v", s.Now(), plain.Now())
+			}
+			for k := 0; k < 2; k++ {
+				if err := s.Close(); err != nil {
+					t.Fatalf("Close #%d: %v", k+1, err)
+				}
+			}
+			if err := s.Reset(pr); err != nil {
+				t.Fatal(err)
+			}
+			for i, m := range submitLoop(t, s, w, 10) {
+				if m != base[i] {
+					t.Fatalf("request %d diverges after Close:\n  want %+v\n  got  %+v", i, base[i], m)
+				}
 			}
 		})
 	}
@@ -83,17 +139,7 @@ func TestSubmitStreamMatchesSubmit(t *testing.T) {
 
 // TestSubmitStreamEmpty checks an immediately-exhausted stream is a no-op.
 func TestSubmitStreamEmpty(t *testing.T) {
-	hw, w := shardTestWorkload(t)
-	pb := placement.ParallelBatch{M: 2}
-	pr, err := pb.Place(w, hw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewWithOptions(hw, pr, Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s, _, _ := streamTestSystem(t, Options{})
 	if err := s.SubmitStream(func() *model.Request { return nil }, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -106,17 +152,7 @@ func TestSubmitStreamEmpty(t *testing.T) {
 // its grouping error in submission order, and a callback error stops the
 // stream; afterwards the system keeps working.
 func TestSubmitStreamErrors(t *testing.T) {
-	hw, w := shardTestWorkload(t)
-	pb := placement.ParallelBatch{M: 2}
-	pr, err := pb.Place(w, hw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewWithOptions(hw, pr, Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s, _, w := streamTestSystem(t, Options{})
 	stream, err := workload.NewRequestStream(w, rng.New(23))
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +169,7 @@ func TestSubmitStreamErrors(t *testing.T) {
 			case 2:
 				return bad
 			case 3, 4:
-				return stream.Next() // queued behind the failure, never runs
+				return stream.Next() // behind the failure, never runs
 			}
 			if i > 4 {
 				return nil
@@ -163,114 +199,4 @@ func TestSubmitStreamErrors(t *testing.T) {
 	if _, err := s.Submit(stream.Next()); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// waitGoroutines polls until the process goroutine count drops back to at
-// most want, failing the test after a generous deadline.
-func waitGoroutines(t *testing.T, want int, what string) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > want {
-		if time.Now().After(deadline) {
-			t.Fatalf("%s: %d goroutines still running, want <= %d",
-				what, runtime.NumGoroutine(), want)
-		}
-		runtime.GC()
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// TestCloseReleasesWorkers checks the explicit lifecycle: Close tears down
-// the executor workers and the pipeline worker, is idempotent, and leaves
-// a fully usable — now sequential — system behind, with identical results.
-func TestCloseReleasesWorkers(t *testing.T) {
-	hw, w := shardTestWorkload(t)
-	pb := placement.ParallelBatch{M: 2}
-	pr, err := pb.Place(w, hw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := runtime.NumGoroutine()
-	s, err := NewWithOptions(hw, pr, Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func() []RequestMetrics {
-		stream, err := workload.NewRequestStream(w, rng.New(23))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []RequestMetrics
-		i := 0
-		err = s.SubmitStream(
-			func() *model.Request {
-				if i >= 20 {
-					return nil
-				}
-				i++
-				return stream.Next()
-			},
-			func(m RequestMetrics) error { out = append(out, m); return nil },
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	open := run()
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil { // idempotent
-		t.Fatal(err)
-	}
-	waitGoroutines(t, before, "after Close")
-	if err := s.Reset(pr); err != nil {
-		t.Fatal(err)
-	}
-	closed := run() // sequential fallback + inline prep
-	for i := range open {
-		if open[i] != closed[i] {
-			t.Fatalf("request %d diverges after Close:\n  open   %+v\n  closed %+v",
-				i, open[i], closed[i])
-		}
-	}
-}
-
-// TestFinalizerReleasesWorkers checks the safety net: a sharded, streamed
-// system that is dropped without Close has its executor and pipeline
-// goroutines reclaimed by the GC cleanup (runtime.AddCleanup — chosen over
-// SetFinalizer, which never fires for cyclic structures like System ↔
-// shard) once the System is collected.
-func TestFinalizerReleasesWorkers(t *testing.T) {
-	hw, w := shardTestWorkload(t)
-	pb := placement.ParallelBatch{M: 2}
-	pr, err := pb.Place(w, hw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := runtime.NumGoroutine()
-	func() {
-		s, err := NewWithOptions(hw, pr, Options{Shards: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		stream, err := workload.NewRequestStream(w, rng.New(23))
-		if err != nil {
-			t.Fatal(err)
-		}
-		i := 0
-		err = s.SubmitStream(func() *model.Request {
-			if i >= 10 {
-				return nil
-			}
-			i++
-			return stream.Next()
-		}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// s goes out of scope here without Close.
-	}()
-	waitGoroutines(t, before, "after dropping the system")
 }

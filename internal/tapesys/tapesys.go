@@ -22,43 +22,6 @@
 // replacement policy of [11]: the eligible drive holding the least
 // accumulated probability switches first.
 //
-// # Sharded execution
-//
-// The libraries of one System are partitioned into shards (Options.Shards),
-// each owning its own sim.Engine, robot Resources, and scratch arenas. A
-// request's per-library operation chains are dispatched onto the shards,
-// each shard's event loop runs to local quiescence, and Submit joins at the
-// request boundary with a deterministic reduction: the completion time is
-// the maximum over shards, per-drive accounting merges in fixed (library,
-// drive) order, and every floating-point sum runs in the same order as the
-// single-engine path — so metrics, reports, and exhibit tables are
-// byte-identical for any shard count. Shards ≤ 1 (the default) runs the
-// single engine inline on the calling goroutine with no synchronization at
-// all.
-//
-// Busy shards run on a persistent executor (sim.Pool): one long-lived
-// worker goroutine per extra shard is spawned at New and woken per request
-// with an atomic-epoch park/wake handoff, so the sharded path spawns no
-// goroutines per request and, like the inline path, allocates nothing in
-// steady state. The workers are torn down by Close (or by a finalizer when
-// a System is dropped without it). On a single-CPU runtime Submit instead
-// runs the busy shards sequentially on the calling goroutine — engines are
-// independent between joins, so results are byte-identical either way and
-// no handoff latency is paid where no parallelism is possible. See
-// docs/ARCHITECTURE.md for the contract and docs/PERFORMANCE.md for when
-// sharding pays.
-//
-// # Streaming and plan-ahead
-//
-// SubmitStream accepts a request stream and overlaps the CPU-side phase of
-// request k+1 — catalog.Grouper grouping and tape.Planner read planning,
-// which read only the immutable placement — with the event-driven phase of
-// request k, on one dedicated plan worker. Precomputed read plans are used
-// only where the live run would compute the identical plan (a freshly
-// mounted cartridge, head at beginning-of-tape), so streamed results are
-// byte-identical to a Submit loop; see stream.go and the pipeline
-// determinism argument in docs/ARCHITECTURE.md.
-//
 // # Observability
 //
 // The simulator is fully instrumented: attach a trace.Recorder with
@@ -69,34 +32,26 @@
 // drive, tape, and request IDs. The schema is defined in internal/trace
 // and documented in docs/OBSERVABILITY.md; per-component timelines and
 // run reports are built from the stream by internal/metrics. With no
-// recorder attached tracing costs nothing on the hot path. When the system
-// is sharded the recorder is automatically wrapped in a trace.Locked so
-// concurrent shard goroutines serialize into one stream; events then
-// remain deterministic per shard but their cross-shard interleaving is
-// scheduling-dependent. Aggregate per-drive and per-robot accounting
-// (DriveReport, RobotReport, WriteUtilization) is always on, trace or not.
+// recorder attached tracing costs nothing on the hot path. Aggregate
+// per-drive and per-robot accounting (DriveReport, RobotReport,
+// WriteUtilization) is always on, trace or not.
 //
 // # Allocation model
 //
 // Submit is the simulator's hot path — a full experiment sweep issues
 // hundreds of thousands of requests — so all of its per-request state is
-// scratch owned by the System and its shards and reused across submissions
-// (see docs/PERFORMANCE.md): request grouping runs through a catalog.Grouper
-// arena, read planning through a per-shard tape.Planner, per-drive
-// accounting is a dense slice, pending queues and victim rankings reuse
-// their backing arrays, and the serve/switch continuations are pooled
-// objects whose closures are created once. In steady state (no recorder,
-// scratch grown to the workload's high-water mark) the single-engine path
-// (Shards ≤ 1) performs no heap allocations, and so does the sharded path:
-// handing a busy shard to its persistent executor is an atomic epoch bump
-// (or a reused channel token when the worker parked), not a goroutine
-// spawn.
+// scratch owned by the System and reused across submissions (see
+// docs/PERFORMANCE.md): request grouping runs through a catalog.Grouper
+// arena, read planning through a tape.Planner, per-drive accounting is a
+// dense slice, pending queues and victim rankings reuse their backing
+// arrays, and the serve/switch continuations are pooled objects whose
+// closures are created once. In steady state (no recorder, scratch grown
+// to the workload's high-water mark) Submit performs no heap allocations.
 package tapesys
 
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 
 	"paralleltape/internal/catalog"
@@ -146,9 +101,9 @@ type drive struct {
 
 // nextSpan allocates the next operation span ID for this drive: the global
 // drive index in the high 31 bits, a per-drive sequence number in the low
-// 32. IDs are unique within a run and opaque to consumers; because each
-// drive executes its operations in a deterministic order regardless of
-// sharding, the same operation gets the same span ID at every shard count.
+// 32. IDs are unique within a run and opaque to consumers; each drive
+// executes its operations in a deterministic order, so a replay of the
+// same run assigns the same IDs.
 func (d *drive) nextSpan() int64 {
 	d.spanSeq++
 	return int64(d.gidx+1)<<32 | d.spanSeq
@@ -157,7 +112,6 @@ func (d *drive) nextSpan() int64 {
 // library is the persistent state of one tape library.
 type library struct {
 	idx    int
-	sh     *shard // the shard whose engine runs this library's events
 	robot  *sim.Resource
 	drives []*drive
 	// repair is the library's embedded repair-wakeup continuation
@@ -187,65 +141,13 @@ type mountedService struct {
 	g catalog.TapeGroup
 }
 
-// shard owns the event-driven half of a contiguous range of libraries: its
-// own engine (clock + event queue), the robots of its libraries, a read
-// planner, the request latch, and the serve/switch continuation pools.
-// During a request at most one goroutine runs a shard's event loop, so all
-// shard state is single-threaded; shards share nothing mutable except the
-// System's per-drive accounting slice, which they write at disjoint
-// indices. Between requests the shard clocks are synchronized to the
-// request completion time (the maximum over shards), so every shard's
-// events carry the same absolute timestamps the single-engine run would
-// produce.
-type shard struct {
-	sys  *System
-	idx  int
-	eng  *sim.Engine
-	libs []*library // contiguous subset of sys.libs, in library order
-	rec  trace.Recorder
+// doneFlag is the request latch's continuation: it records that the last
+// tape group of the current request finished. Being a typed sim.Op, arming
+// the latch (Submit) captures no closure.
+type doneFlag bool
 
-	// Per-request scratch.
-	planner tape.Planner
-	latch   *sim.Latch
-	reqDone bool
-	groups  int // tape groups of the current request owned by this shard
-	// switches counts this request's tape switches on this shard; merged
-	// into RequestMetrics in fixed shard order at the join.
-	switches   int
-	servePool  []*serveOp
-	switchPool []*switchOp
-	retryPool  []*retryOp
-
-	// Degraded-mode per-request counters (recovery.go), merged into
-	// RequestMetrics in fixed shard order at the join. All stay zero on a
-	// failure-free run except served, which then equals the shard's
-	// delivered bytes.
-	served       int64
-	retries      int
-	mediaErrors  int
-	failedGroups int
-	failedBytes  int64
-
-	// Lifetime accounting local to the shard, reduced in shard order.
-	totalSwitches    int
-	totalBusy        float64 // diagnostic: summed seek+transfer seconds
-	totalRetries     int
-	totalMediaErrors int
-}
-
-// Run implements sim.Op: the shard is its own latch-open continuation, so
-// arming the request latch (Submit) captures no closure.
-func (sh *shard) Run(uint8) { sh.reqDone = true }
-
-// emit stamps the event with the shard's clock and records it. The nil
-// check keeps the disabled path free of any tracing cost.
-func (sh *shard) emit(ev trace.Event) {
-	if sh.rec == nil {
-		return
-	}
-	ev.T = sh.eng.Now()
-	sh.rec.Record(ev)
-}
+// Run implements sim.Op.
+func (f *doneFlag) Run(uint8) { *f = true }
 
 // System is a simulated parallel tape storage system. Create with New or
 // NewWithOptions, then Submit requests; state persists across submissions.
@@ -258,9 +160,9 @@ type System struct {
 	cat        *catalog.Catalog
 	prob       map[tape.Key]float64
 	libs       []*library
-	shards     []*shard
 	opts       Options
-	rec        trace.Recorder // as attached by the caller (unwrapped)
+	eng        *sim.Engine // clock and event queue of every library
+	rec        trace.Recorder
 
 	// inj is the fault injector (nil when Options.Faults is nil or
 	// injects nothing); deadline is the current request's timeout instant
@@ -269,56 +171,38 @@ type System struct {
 	deadline float64
 
 	totalBytes int64
+	// Lifetime counters behind TotalSwitches, TotalRetries and
+	// TotalMediaErrors.
+	totalSwitches    int
+	totalRetries     int
+	totalMediaErrors int
 
-	// Reusable per-request scratch for the single-threaded dispatch and
-	// reduction phases (see the package comment's allocation model).
-	// Submit runs one request to completion before returning, so exactly
-	// one request is in flight and its transient state can live on the
-	// System; the event-driven phase runs through the shards.
+	// Reusable per-request scratch (see the package comment's allocation
+	// model). Submit runs one request to completion before returning, so
+	// exactly one request is in flight and its transient state can live on
+	// the System.
 	grouper     *catalog.Grouper
+	planner     tape.Planner
+	latch       *sim.Latch // counts the current request's open tape groups
+	reqDone     doneFlag
 	curReq      int64
 	curMet      RequestMetrics
-	acct        []driveAcct      // dense, indexed by drive.gidx
-	pending     [][]pendingGroup // per-library offline-group queues
-	pendHead    []int            // consumption cursor per library
-	retryQ      [][]retryEntry   // per-library queues of ready retried groups
-	retryHead   []int            // consumption cursor per library
-	repairArmed []bool           // per-library: a repair wakeup event is scheduled
+	acct        []driveAcct           // dense, indexed by drive.gidx
+	pending     [][]catalog.TapeGroup // per-library offline-group queues
+	pendHead    []int                 // consumption cursor per library
+	retryQ      [][]retryEntry        // per-library queues of ready retried groups
+	retryHead   []int                 // consumption cursor per library
+	repairArmed []bool                // per-library: a repair wakeup event is scheduled
 	mountedSvc  []mountedService
 	eligible    []*drive
 	victimCmp   func(a, b *drive) int
-
-	// exec is the persistent shard executor (len(shards)-1 workers), nil
-	// on single-shard systems and after Close; Submit falls back to
-	// running busy shards sequentially — byte-identical, see the package
-	// comment — when it is gone.
-	exec *sim.Pool
-	// preps and pipe are the plan-ahead pipeline's double buffer and
-	// worker (stream.go); both are created lazily by SubmitStream.
-	preps [2]*prepared
-	pipe  *planPipe
-	// cleanup releases exec and pipe when a System is dropped without
-	// Close (armCleanup); cleanupSet says it is armed.
-	cleanup    runtime.Cleanup
-	cleanupSet bool
-	closed     bool
-}
-
-// pendingGroup is one offline tape group queued for a switch drive,
-// optionally carrying a read plan precomputed by the plan-ahead pipeline.
-// A precomputed plan is valid only for a freshly mounted cartridge (head
-// at beginning-of-tape) — exactly the state afterLoad serves from — and
-// is identical to what serve would compute live, so carrying it changes
-// no simulated result.
-type pendingGroup struct {
-	g       catalog.TapeGroup
-	plan    tape.ReadPlan
-	planned bool
+	servePool   []*serveOp
+	switchPool  []*switchOp
+	retryPool   []*retryOp
 }
 
 // New builds a system in the placement's initial state with the paper's
-// default scheduling (largest-pending-first, least-popular victims) on a
-// single engine.
+// default scheduling (largest-pending-first, least-popular victims).
 func New(hw tape.Hardware, pl *placement.Result) (*System, error) {
 	return NewWithOptions(hw, pl, Options{})
 }
@@ -338,8 +222,10 @@ func NewWithOptions(hw tape.Hardware, pl *placement.Result, opts Options) (*Syst
 		hw:         hw,
 		locateRate: hw.LocateRate(),
 		opts:       opts,
+		eng:        sim.NewEngine(),
 		deadline:   math.Inf(1),
 	}
+	s.latch = sim.NewLatch(0).Observe(s.eng, "request")
 	if opts.Faults != nil && opts.Faults.Enabled() {
 		inj, err := faults.New(*opts.Faults, hw.Libraries, hw.DrivesPerLib, hw.TapesPerLib)
 		if err != nil {
@@ -347,43 +233,20 @@ func NewWithOptions(hw tape.Hardware, pl *placement.Result, opts Options) (*Syst
 		}
 		s.inj = inj
 	}
-	nshards := opts.Shards
-	if nshards < 1 {
-		nshards = 1
-	}
-	if nshards > hw.Libraries {
-		nshards = hw.Libraries
-	}
-	for i := 0; i < nshards; i++ {
-		sh := &shard{sys: s, idx: i, eng: sim.NewEngine()}
-		sh.latch = sim.NewLatch(0).Observe(sh.eng, "request")
-		s.shards = append(s.shards, sh)
-	}
 	for lib := 0; lib < hw.Libraries; lib++ {
-		// Contiguous partition: shard i owns libraries [i·n/k, (i+1)·n/k).
-		sh := s.shards[lib*nshards/hw.Libraries]
 		l := &library{
 			idx:   lib,
-			sh:    sh,
-			robot: sim.NewResource(sh.eng, fmt.Sprintf("robot-%d", lib)),
+			robot: sim.NewResource(s.eng, fmt.Sprintf("robot-%d", lib)),
 		}
-		l.repair.l = l
+		l.repair = repairWake{s: s, l: l}
 		for d := 0; d < hw.DrivesPerLib; d++ {
 			dr := &drive{lib: lib, idx: d, gidx: lib*hw.DrivesPerLib + d, mounted: -1}
 			l.drives = append(l.drives, dr)
 		}
 		s.libs = append(s.libs, l)
-		sh.libs = append(sh.libs, l)
-	}
-	if nshards > 1 {
-		// Persistent shard executor: one long-lived worker per shard beyond
-		// the one Submit runs inline. The GC cleanup stops the workers if
-		// the owner drops the System without calling Close.
-		s.exec = sim.NewPool(nshards - 1)
-		s.armCleanup()
 	}
 	s.acct = make([]driveAcct, hw.Libraries*hw.DrivesPerLib)
-	s.pending = make([][]pendingGroup, hw.Libraries)
+	s.pending = make([][]catalog.TapeGroup, hw.Libraries)
 	s.pendHead = make([]int, hw.Libraries)
 	s.retryQ = make([][]retryEntry, hw.Libraries)
 	s.retryHead = make([]int, hw.Libraries)
@@ -405,10 +268,6 @@ func NewWithOptions(hw tape.Hardware, pl *placement.Result, opts Options) (*Syst
 	}
 	return s, nil
 }
-
-// Shards returns the number of engine shards the system runs on (1 for the
-// single-engine configuration).
-func (s *System) Shards() int { return len(s.shards) }
 
 // validatePlacementShape checks a placement against the hardware geometry.
 func validatePlacementShape(hw tape.Hardware, pl *placement.Result) error {
@@ -450,9 +309,9 @@ func (s *System) applyPlacement(pl *placement.Result) error {
 	return nil
 }
 
-// Reset restores the system to placement pl's initial state — fresh clocks,
-// empty event queues, initial mounts, zeroed accounting — while reusing all
-// engine and scratch allocations (event heaps, grouping arena, operation
+// Reset restores the system to placement pl's initial state — fresh clock,
+// empty event queue, initial mounts, zeroed accounting — while reusing all
+// engine and scratch allocations (event queue, grouping arena, operation
 // pools). The recorder attachment survives. It is the cheap way to run a
 // sequence of independent simulations (e.g. one per seed) on identical
 // hardware: only the placement may change, and its shape must match the
@@ -461,13 +320,10 @@ func (s *System) Reset(pl *placement.Result) error {
 	if err := validatePlacementShape(s.hw, pl); err != nil {
 		return err
 	}
-	for _, sh := range s.shards {
-		sh.eng.Reset()
-		sh.totalSwitches = 0
-		sh.totalBusy = 0
-		sh.totalRetries = 0
-		sh.totalMediaErrors = 0
-	}
+	s.eng.Reset()
+	s.totalSwitches = 0
+	s.totalRetries = 0
+	s.totalMediaErrors = 0
 	for _, l := range s.libs {
 		l.robot.Reset()
 	}
@@ -544,7 +400,7 @@ type driveAcct struct {
 // its own completion event (sim.Op), so scheduling a service captures no
 // closure and performs no allocation.
 type serveOp struct {
-	sh   *shard
+	s    *System
 	d    *drive
 	g    catalog.TapeGroup
 	plan tape.ReadPlan
@@ -574,21 +430,21 @@ const (
 	serveMedia
 )
 
-func (sh *shard) getServeOp() *serveOp {
-	if n := len(sh.servePool); n > 0 {
-		op := sh.servePool[n-1]
-		sh.servePool[n-1] = nil
-		sh.servePool = sh.servePool[:n-1]
+func (s *System) getServeOp() *serveOp {
+	if n := len(s.servePool); n > 0 {
+		op := s.servePool[n-1]
+		s.servePool[n-1] = nil
+		s.servePool = s.servePool[:n-1]
 		return op
 	}
-	return &serveOp{sh: sh}
+	return &serveOp{s: s}
 }
 
-func (sh *shard) putServeOp(op *serveOp) {
+func (s *System) putServeOp(op *serveOp) {
 	op.d = nil
 	op.g = catalog.TapeGroup{}
 	op.plan = tape.ReadPlan{}
-	sh.servePool = append(sh.servePool, op)
+	s.servePool = append(s.servePool, op)
 }
 
 // Run implements sim.Op: a service has one stage, completion.
@@ -603,26 +459,25 @@ func (op *serveOp) finish() {
 		op.interrupted()
 		return
 	}
-	sh, d, g, plan, span := op.sh, op.d, op.g, op.plan, op.span
-	sh.putServeOp(op)
+	s, d, g, plan, span := op.s, op.d, op.g, op.plan, op.span
+	s.putServeOp(op)
 	d.busy = false
 	d.headPos = plan.EndPos
-	a := &sh.sys.acct[d.gidx]
+	a := &s.acct[d.gidx]
 	a.used = true
 	a.seek += plan.SeekTotal
 	a.xfer += plan.XferTotal
 	a.moved += g.Bytes
-	a.finish = sh.eng.Now()
-	sh.totalBusy += plan.SeekTotal + plan.XferTotal
+	a.finish = s.eng.Now()
 	d.busySeconds += plan.SeekTotal + plan.XferTotal
 	d.bytesMoved += g.Bytes
-	if sh.eng.Now() <= sh.sys.deadline {
-		sh.served += g.Bytes
+	if s.eng.Now() <= s.deadline {
+		s.curMet.BytesServed += g.Bytes
 	}
-	sh.emit(trace.Event{Kind: trace.KindServeEnd, Lib: d.lib, Drive: d.idx, Tape: g.Tape.Index,
-		Req: sh.sys.curReq, Span: span, Bytes: g.Bytes, Dur: plan.SeekTotal + plan.XferTotal})
-	sh.latch.Done()
-	sh.afterService(d)
+	s.emit(trace.Event{Kind: trace.KindServeEnd, Lib: d.lib, Drive: d.idx, Tape: g.Tape.Index,
+		Req: s.curReq, Span: span, Bytes: g.Bytes, Dur: plan.SeekTotal + plan.XferTotal})
+	s.latch.Done()
+	s.afterService(d)
 }
 
 // switchOp is the pooled continuation chain of one tape switch. The op is
@@ -631,7 +486,7 @@ func (op *serveOp) finish() {
 // sim.Grantee for the robot grant, so every stage transition schedules the
 // record itself — no closures, no captures, no allocation.
 type switchOp struct {
-	sh          *shard
+	s           *System
 	d           *drive
 	l           *library
 	g           catalog.TapeGroup
@@ -645,10 +500,6 @@ type switchOp struct {
 	// (recovery.go); carried through to the serve so a retried group keeps
 	// its retry budget.
 	attempts int
-	// plan/planned carry a beginning-of-tape read plan precomputed by the
-	// plan-ahead pipeline (pendingGroup) through to the serve.
-	plan    tape.ReadPlan
-	planned bool
 }
 
 // Switch-chain stage tags: the event a switchOp schedules carries the tag
@@ -677,24 +528,22 @@ func (op *switchOp) Run(tag uint8) {
 // Granted implements sim.Grantee: the robot arm is ours.
 func (op *switchOp) Granted(g *sim.Grant) { op.onGrant(g) }
 
-func (sh *shard) getSwitchOp() *switchOp {
-	if n := len(sh.switchPool); n > 0 {
-		op := sh.switchPool[n-1]
-		sh.switchPool[n-1] = nil
-		sh.switchPool = sh.switchPool[:n-1]
+func (s *System) getSwitchOp() *switchOp {
+	if n := len(s.switchPool); n > 0 {
+		op := s.switchPool[n-1]
+		s.switchPool[n-1] = nil
+		s.switchPool = s.switchPool[:n-1]
 		return op
 	}
-	return &switchOp{sh: sh}
+	return &switchOp{s: s}
 }
 
-func (sh *shard) putSwitchOp(op *switchOp) {
+func (s *System) putSwitchOp(op *switchOp) {
 	op.d = nil
 	op.l = nil
 	op.g = catalog.TapeGroup{}
 	op.grant = nil
-	op.plan = tape.ReadPlan{}
-	op.planned = false
-	sh.switchPool = append(sh.switchPool, op)
+	s.switchPool = append(s.switchPool, op)
 }
 
 // afterPrep runs once the outgoing cartridge has rewound and unloaded (or
@@ -717,14 +566,14 @@ func (op *switchOp) afterPrep() {
 // behind it, which is exactly the degraded-mode contract of
 // docs/RESILIENCE.md — otherwise the cell moves start immediately.
 func (op *switchOp) onGrant(grant *sim.Grant) {
-	sh, d := op.sh, op.d
+	s, d := op.s, op.d
 	op.grant = grant
-	if s := sh.sys; s.inj != nil {
-		now := sh.eng.Now()
+	if s.inj != nil {
+		now := s.eng.Now()
 		if down, until := s.inj.RobotDown(d.lib, now); down {
-			sh.emit(trace.Event{Kind: trace.KindRobotFailed, Lib: d.lib, Drive: d.idx,
+			s.emit(trace.Event{Kind: trace.KindRobotFailed, Lib: d.lib, Drive: d.idx,
 				Tape: op.g.Tape.Index, Req: s.curReq, Span: op.span, Dur: until - now})
-			sh.eng.ScheduleOp(until-now, op, tagSwitchRobot)
+			s.eng.ScheduleOp(until-now, op, tagSwitchRobot)
 			return
 		}
 	}
@@ -733,36 +582,36 @@ func (op *switchOp) onGrant(grant *sim.Grant) {
 
 // afterRobot resumes a switch that waited out a robot outage.
 func (op *switchOp) afterRobot() {
-	sh, d := op.sh, op.d
-	sh.emit(trace.Event{Kind: trace.KindRobotRepaired, Lib: d.lib, Drive: d.idx,
-		Tape: op.g.Tape.Index, Req: sh.sys.curReq, Span: op.span})
+	s, d := op.s, op.d
+	s.emit(trace.Event{Kind: trace.KindRobotRepaired, Lib: d.lib, Drive: d.idx,
+		Tape: op.g.Tape.Index, Req: s.curReq, Span: op.span})
 	op.moves()
 }
 
 // moves performs the robot cell moves (stow the outgoing cartridge if any,
 // fetch the target) while holding the arm.
 func (op *switchOp) moves() {
-	sh, d := op.sh, op.d
-	move := sh.sys.hw.CellToDrive // fetch the target cartridge
+	s, d := op.s, op.d
+	move := s.hw.CellToDrive // fetch the target cartridge
 	if op.hadTape {
-		move += sh.sys.hw.CellToDrive // first stow the old one
+		move += s.hw.CellToDrive // first stow the old one
 	}
-	sh.emit(trace.Event{Kind: trace.KindRobot, Lib: d.lib, Drive: d.idx, Tape: op.g.Tape.Index,
-		Req: sh.sys.curReq, Span: op.span, Dur: move})
-	sh.eng.ScheduleOp(move, op, tagSwitchMove)
+	s.emit(trace.Event{Kind: trace.KindRobot, Lib: d.lib, Drive: d.idx, Tape: op.g.Tape.Index,
+		Req: s.curReq, Span: op.span, Dur: move})
+	s.eng.ScheduleOp(move, op, tagSwitchMove)
 }
 
 // afterMove runs when the robot finishes: release it and start load+thread.
 func (op *switchOp) afterMove() {
-	sh, d := op.sh, op.d
+	s, d := op.s, op.d
 	op.grant.Release()
 	op.grant = nil
 	if op.abortIfDown() {
 		return
 	}
-	sh.emit(trace.Event{Kind: trace.KindLoad, Lib: d.lib, Drive: d.idx, Tape: op.g.Tape.Index,
-		Req: sh.sys.curReq, Span: op.span, Dur: sh.sys.hw.LoadThread})
-	sh.eng.ScheduleOp(sh.sys.hw.LoadThread, op, tagSwitchLoad)
+	s.emit(trace.Event{Kind: trace.KindLoad, Lib: d.lib, Drive: d.idx, Tape: op.g.Tape.Index,
+		Req: s.curReq, Span: op.span, Dur: s.hw.LoadThread})
+	s.eng.ScheduleOp(s.hw.LoadThread, op, tagSwitchLoad)
 }
 
 // afterLoad completes the mount and serves the group.
@@ -770,134 +619,116 @@ func (op *switchOp) afterLoad() {
 	if op.abortIfDown() {
 		return
 	}
-	sh, d, g := op.sh, op.d, op.g
+	s, d, g := op.s, op.d, op.g
 	switchBegin, attempts, span := op.switchBegin, op.attempts, op.span
-	plan, planned := op.plan, op.planned
-	sh.putSwitchOp(op)
+	s.putSwitchOp(op)
 	d.mounted = g.Tape.Index
 	d.headPos = 0
 	d.mounts++
-	d.switchSeconds += sh.eng.Now() - switchBegin
-	sh.emit(trace.Event{Kind: trace.KindMounted, Lib: d.lib, Drive: d.idx, Tape: g.Tape.Index,
-		Req: sh.sys.curReq, Span: span, Dur: sh.eng.Now() - switchBegin})
-	sh.serve(d, g, attempts, plan, planned)
+	d.switchSeconds += s.eng.Now() - switchBegin
+	s.emit(trace.Event{Kind: trace.KindMounted, Lib: d.lib, Drive: d.idx, Tape: g.Tape.Index,
+		Req: s.curReq, Span: span, Dur: s.eng.Now() - switchBegin})
+	s.serve(d, g, attempts)
 }
 
-// serve schedules the seek+transfer span for group g on drive d. attempts
-// is the group's prior fault-interrupted dispatch count (0 on the healthy
-// path). plan, when planned is true, is a beginning-of-tape read plan the
-// plan-ahead pipeline precomputed for g; it is used only when the head is
-// actually at BOT (always true after a switch mount), otherwise — and on
-// the live-planned path — the plan is computed here from the current head
-// position. tape.Planner.PlanRates is deterministic, so the two routes
-// produce bit-identical plans. With an injector attached the span may be
-// cut short by a scheduled drive failure or a media error (armServeFaults);
-// the emitted seek/transfer events always carry the full planned spans.
-func (sh *shard) serve(d *drive, g catalog.TapeGroup, attempts int, plan tape.ReadPlan, planned bool) {
-	op := sh.getServeOp()
+// serve schedules the seek+transfer span for group g on drive d, planned
+// from the drive's current head position. attempts is the group's prior
+// fault-interrupted dispatch count (0 on the healthy path). With an
+// injector attached the span may be cut short by a scheduled drive failure
+// or a media error (armServeFaults); the emitted seek/transfer events
+// always carry the full planned spans.
+func (s *System) serve(d *drive, g catalog.TapeGroup, attempts int) {
+	op := s.getServeOp()
 	op.d = d
 	op.g = g
-	if planned && d.headPos == 0 {
-		op.plan = plan
-	} else {
-		op.plan = sh.planner.PlanRates(sh.sys.locateRate, sh.sys.hw.TransferRate, d.headPos, g.Extents)
-	}
+	op.plan = s.planner.PlanRates(s.locateRate, s.hw.TransferRate, d.headPos, g.Extents)
 	op.mode = serveOK
-	op.start = sh.eng.Now()
+	op.start = s.eng.Now()
 	op.attempts = attempts
 	op.span = d.nextSpan()
 	d.busy = true
 	span := op.plan.SeekTotal + op.plan.XferTotal
-	if sh.sys.inj != nil {
-		span = sh.armServeFaults(op, span)
+	if s.inj != nil {
+		span = s.armServeFaults(op, span)
 	}
-	if sh.rec != nil {
-		sh.emit(trace.Event{Kind: trace.KindServeStart, Lib: d.lib, Drive: d.idx, Tape: g.Tape.Index,
-			Req: sh.sys.curReq, Span: op.span, Bytes: g.Bytes})
-		sh.emit(trace.Event{Kind: trace.KindSeek, Lib: d.lib, Drive: d.idx, Tape: g.Tape.Index,
-			Req: sh.sys.curReq, Span: op.span, Dur: op.plan.SeekTotal})
-		sh.emit(trace.Event{Kind: trace.KindTransfer, Lib: d.lib, Drive: d.idx, Tape: g.Tape.Index,
-			Req: sh.sys.curReq, Span: op.span, Bytes: g.Bytes, Dur: op.plan.XferTotal})
+	if s.rec != nil {
+		s.emit(trace.Event{Kind: trace.KindServeStart, Lib: d.lib, Drive: d.idx, Tape: g.Tape.Index,
+			Req: s.curReq, Span: op.span, Bytes: g.Bytes})
+		s.emit(trace.Event{Kind: trace.KindSeek, Lib: d.lib, Drive: d.idx, Tape: g.Tape.Index,
+			Req: s.curReq, Span: op.span, Dur: op.plan.SeekTotal})
+		s.emit(trace.Event{Kind: trace.KindTransfer, Lib: d.lib, Drive: d.idx, Tape: g.Tape.Index,
+			Req: s.curReq, Span: op.span, Bytes: g.Bytes, Dur: op.plan.XferTotal})
 	}
-	sh.eng.ScheduleOp(span, op, 0)
+	s.eng.ScheduleOp(span, op, 0)
 }
 
 // startSwitch begins the rewind → robot → load pipeline moving drive d to
-// the cartridge of group pg.g. attempts is the group's prior
+// the cartridge of group g. attempts is the group's prior
 // fault-interrupted dispatch count (0 on the healthy path).
-func (sh *shard) startSwitch(d *drive, pg pendingGroup, attempts int) {
-	g := pg.g
-	sh.switches++
-	sh.totalSwitches++
-	op := sh.getSwitchOp()
+func (s *System) startSwitch(d *drive, g catalog.TapeGroup, attempts int) {
+	s.curMet.Switches++
+	s.totalSwitches++
+	op := s.getSwitchOp()
 	op.d = d
-	op.l = sh.sys.libs[d.lib]
+	op.l = s.libs[d.lib]
 	op.g = g
-	op.plan = pg.plan
-	op.planned = pg.planned
 	op.attempts = attempts
-	op.switchBegin = sh.eng.Now()
+	op.switchBegin = s.eng.Now()
 	op.span = d.nextSpan()
 	d.busy = true
 	prep := 0.0
 	if d.mounted >= 0 {
-		prep = sh.sys.hw.RewindTime(d.headPos) + sh.sys.hw.Unload
+		prep = s.hw.RewindTime(d.headPos) + s.hw.Unload
 	}
 	// Every switch chain opens with a rewind event — Dur 0 and Tape -1 for
 	// an empty drive — so span reconstruction sees the chain's start even
 	// when the chain aborts before any other stage.
-	sh.emit(trace.Event{Kind: trace.KindRewind, Lib: d.lib, Drive: d.idx, Tape: d.mounted,
-		Req: sh.sys.curReq, Span: op.span, Dur: prep})
-	sh.eng.ScheduleOp(prep, op, tagSwitchPrep)
+	s.emit(trace.Event{Kind: trace.KindRewind, Lib: d.lib, Drive: d.idx, Tape: d.mounted,
+		Req: s.curReq, Span: op.span, Dur: prep})
+	s.eng.ScheduleOp(prep, op, tagSwitchPrep)
 }
 
-// takePending pops the next offline group for a library. Only the shard
-// owning the library consumes its queue, so the cursor needs no locking.
-func (sh *shard) takePending(lib int) (pendingGroup, bool) {
-	s := sh.sys
+// takePending pops the next offline group for a library.
+func (s *System) takePending(lib int) (catalog.TapeGroup, bool) {
 	if s.pendHead[lib] >= len(s.pending[lib]) {
-		return pendingGroup{}, false
+		return catalog.TapeGroup{}, false
 	}
-	pg := s.pending[lib][s.pendHead[lib]]
+	g := s.pending[lib][s.pendHead[lib]]
 	s.pendHead[lib]++
-	return pg, true
+	return g, true
 }
 
 // afterService decides a drive's next move once it finishes a tape. With
 // an injector attached it first checks whether the drive's failure window
 // opened exactly at service end; queued retried groups take priority over
 // the request's original pending queue.
-func (sh *shard) afterService(d *drive) {
+func (s *System) afterService(d *drive) {
 	if d.pinned {
 		return
 	}
-	if s := sh.sys; s.inj != nil && !d.failed {
-		if down, until := s.inj.DriveDown(d.gidx, sh.eng.Now()); down {
-			sh.observeDriveFailure(d, until, -1, s.curReq, 0)
-			sh.pump(d.lib)
+	if s.inj != nil && !d.failed {
+		if down, until := s.inj.DriveDown(d.gidx, s.eng.Now()); down {
+			s.observeDriveFailure(d, until, -1, s.curReq, 0)
+			s.pump(d.lib)
 			return
 		}
 	}
-	if g, attempts, ok := sh.takeQueued(d.lib); ok {
-		sh.startSwitch(d, g, attempts)
+	if g, attempts, ok := s.takeQueued(d.lib); ok {
+		s.startSwitch(d, g, attempts)
 	}
 }
 
-// beginRequest resets the shard's per-request state.
-func (sh *shard) beginRequest() {
-	sh.groups = 0
-	sh.switches = 0
-	sh.reqDone = false
-	sh.served = 0
-	sh.retries = 0
-	sh.mediaErrors = 0
-	sh.failedGroups = 0
-	sh.failedBytes = 0
+// emit stamps the event with the current simulated time and records it.
+// The nil check keeps the disabled path free of any tracing cost.
+func (s *System) emit(ev trace.Event) {
+	if s.rec == nil {
+		return
+	}
+	ev.T = s.eng.Now()
+	s.rec.Record(ev)
 }
 
-// emitAt records a system-level event stamped with time t. Submit calls it
-// only from the dispatch and reduction phases, when no shard goroutine is
-// running, so the caller's recorder is used directly.
+// emitAt records a system-level event stamped with time t.
 func (s *System) emitAt(ev trace.Event, t float64) {
 	if s.rec == nil {
 		return
@@ -906,31 +737,17 @@ func (s *System) emitAt(ev trace.Event, t float64) {
 	s.rec.Record(ev)
 }
 
-// Submit executes one request to completion and returns its metrics. Each
-// shard's engine runs until the system is idle again (the paper's
-// zero-queueing assumption): dispatch is synchronous on the calling
-// goroutine, then each busy shard's event loop runs — inline for a single
-// shard, on forked goroutines otherwise — and the join reduces the shard
-// results deterministically (completion time = max over shards, counters
-// and floating-point sums in fixed library order). All transient state
-// lives in System- and shard-owned scratch; see the package comment's
-// allocation model.
+// Submit executes one request to completion and returns its metrics. The
+// request is dispatched synchronously on the calling goroutine, then the
+// engine runs until the system is idle again (the paper's zero-queueing
+// assumption). All transient state lives in System-owned scratch; see the
+// package comment's allocation model.
 func (s *System) Submit(r *model.Request) (RequestMetrics, error) {
 	groups, err := s.grouper.Group(r)
 	if err != nil {
 		return RequestMetrics{}, err
 	}
-	return s.submitGrouped(r, groups, nil)
-}
-
-// submitGrouped is Submit after grouping. plans, when non-nil, carries one
-// precomputed beginning-of-tape read plan per group (same order as groups)
-// from the plan-ahead pipeline; nil means plans are computed live at serve
-// time. Either way the simulated results are identical — see stream.go.
-func (s *System) submitGrouped(r *model.Request, groups []catalog.TapeGroup, plans []tape.ReadPlan) (RequestMetrics, error) {
-	// Shard clocks are synchronized at every request boundary, so any
-	// shard's clock is the submission instant.
-	t0 := s.shards[0].eng.Now()
+	t0 := s.eng.Now()
 	if s.inj != nil {
 		s.sweepFaults(t0)
 	}
@@ -947,9 +764,7 @@ func (s *System) submitGrouped(r *model.Request, groups []catalog.TapeGroup, pla
 		s.acct[i] = driveAcct{}
 	}
 	robotWait0 := s.robotWaitTotal()
-	for _, sh := range s.shards {
-		sh.beginRequest()
-	}
+	s.reqDone = false
 
 	// Per-library pending queues of offline tape groups, largest first so
 	// long transfers start earliest (LPT ordering keeps the makespan low).
@@ -964,21 +779,13 @@ func (s *System) submitGrouped(r *model.Request, groups []catalog.TapeGroup, pla
 	}
 	var mountedBytes int64
 	mounted := s.mountedSvc[:0]
-	for i, g := range groups {
+	for _, g := range groups {
 		met.Bytes += g.Bytes
-		l := s.libs[g.Tape.Library]
-		l.sh.groups++
-		if d := l.driveWithTape(g.Tape.Index); d != nil {
-			// Mounted services seek from the live head position, so a
-			// beginning-of-tape plan does not apply; serve computes theirs.
+		if d := s.libs[g.Tape.Library].driveWithTape(g.Tape.Index); d != nil {
 			mounted = append(mounted, mountedService{d: d, g: g})
 			mountedBytes += g.Bytes
 		} else {
-			pg := pendingGroup{g: g}
-			if plans != nil {
-				pg.plan, pg.planned = plans[i], true
-			}
-			s.pending[g.Tape.Library] = append(s.pending[g.Tape.Library], pg)
+			s.pending[g.Tape.Library] = append(s.pending[g.Tape.Library], g)
 		}
 	}
 	s.mountedSvc = mounted
@@ -988,9 +795,7 @@ func (s *System) submitGrouped(r *model.Request, groups []catalog.TapeGroup, pla
 	if met.Bytes > 0 {
 		met.MountedRatio = float64(mountedBytes) / float64(met.Bytes)
 	}
-	for _, sh := range s.shards {
-		sh.latch.Reset(sh.groups)
-	}
+	s.latch.Reset(len(groups))
 
 	// Phase 1: drives whose mounted tape holds requested objects are
 	// claimed by this request first.
@@ -1018,14 +823,13 @@ func (s *System) submitGrouped(r *model.Request, groups []catalog.TapeGroup, pla
 		}
 		s.eligible = eligible
 		slices.SortFunc(eligible, s.victimCmp)
-		sh := s.libs[lib].sh
 		for _, d := range eligible {
-			pg, ok := sh.takePending(lib)
+			g, ok := s.takePending(lib)
 			if !ok {
 				break
 			}
 			d.claimed = true
-			sh.startSwitch(d, pg, 0)
+			s.startSwitch(d, g, 0)
 		}
 		if s.pendHead[lib] < len(s.pending[lib]) {
 			// Remaining groups wait for serving drives to free up; require
@@ -1045,87 +849,30 @@ func (s *System) submitGrouped(r *model.Request, groups []catalog.TapeGroup, pla
 				}
 				// Degraded mode: wait for a repair if one is scheduled,
 				// abandon the stranded groups otherwise (recovery.go).
-				sh.stall(lib)
+				s.stall(lib)
 			}
 		}
 	}
 	// Kick off mounted services after switch dispatch so the claimed marks
 	// were complete; simulated start time is identical (same instant).
 	for _, ms := range mounted {
-		s.libs[ms.d.lib].sh.serve(ms.d, ms.g, 0, tape.ReadPlan{}, false)
+		s.serve(ms.d, ms.g, 0)
 	}
 
-	// Arm the request latches and run each busy shard's event loop to
-	// quiescence. A latch armed at zero fires synchronously, so shards
-	// without work complete here.
-	for _, sh := range s.shards {
-		sh.latch.WaitOp(sh, 0)
-	}
-	if len(s.shards) == 1 {
-		s.shards[0].eng.Run()
-	} else if s.exec == nil || runtime.GOMAXPROCS(0) == 1 {
-		// Sequential fallback: after Close, or when the runtime owns a
-		// single CPU (parallel handoff would only ping-pong the one P).
-		// Shard engines share no mutable state between joins, so running
-		// them back-to-back on the caller is byte-identical to the
-		// parallel run.
-		for _, sh := range s.shards {
-			if sh.eng.Pending() > 0 {
-				sh.eng.Run()
-			}
-		}
-	} else {
-		// Hand every busy shard but one to the persistent executor, run
-		// that one inline on the caller, and join before touching any
-		// shared state again. Steady state this path allocates nothing:
-		// the handoff is an atomic epoch bump (sim.Pool).
-		inline := -1
-		for i, sh := range s.shards {
-			if sh.eng.Pending() == 0 {
-				continue
-			}
-			if inline < 0 {
-				inline = i
-				continue
-			}
-			s.exec.Go(sh.eng)
-		}
-		if inline >= 0 {
-			s.shards[inline].eng.Run()
-		}
-		s.exec.Wait()
-	}
-
-	// Join: the request completes at the latest shard-local instant;
-	// advance every shard clock to it so the next request (and all
-	// persistent accounting) sees one global time base, exactly as the
-	// single-engine run would.
-	end := t0
-	for _, sh := range s.shards {
-		if n := sh.eng.Now(); n > end {
-			end = n
-		}
-	}
-	for _, sh := range s.shards {
-		sh.eng.RunUntil(end) // queue already drained: clock sync only
-	}
-	for _, sh := range s.shards {
-		if !sh.reqDone {
-			return RequestMetrics{}, fmt.Errorf("tapesys: request %d did not complete (%d groups outstanding)",
-				r.ID, sh.latch.Remaining())
-		}
-		met.Switches += sh.switches
-		met.BytesServed += sh.served
-		met.Retries += sh.retries
-		met.MediaErrors += sh.mediaErrors
-		met.FailedGroups += sh.failedGroups
-		met.FailedBytes += sh.failedBytes
+	// Arm the request latch and run the event loop to quiescence. A latch
+	// armed at zero fires synchronously.
+	s.latch.WaitOp(&s.reqDone, 0)
+	s.eng.Run()
+	if !s.reqDone {
+		return RequestMetrics{}, fmt.Errorf("tapesys: request %d did not complete (%d groups outstanding)",
+			r.ID, s.latch.Remaining())
 	}
 
 	// §6 metrics: response from the last-finishing drive. A timed-out
 	// request reports Response = RequestTimeout (the client gave up at the
 	// deadline) even though the mechanical work ran to completion and the
 	// clock advanced with it.
+	end := s.eng.Now()
 	met.Response = end - t0
 	if end > s.deadline {
 		met.TimedOut = true
@@ -1163,6 +910,34 @@ func (s *System) submitGrouped(r *model.Request, groups []catalog.TapeGroup, pla
 	return s.curMet, nil
 }
 
+// SubmitStream submits a stream of requests in order: next supplies
+// requests and returns nil to end the stream; fn, if non-nil, observes
+// each request's metrics in submission order and may stop the stream by
+// returning an error. It is a loop over Submit, kept so callers that
+// consume requests from a generator need not write the loop themselves.
+// On error (from a request or from fn) the stream stops; the system
+// remains usable.
+func (s *System) SubmitStream(next func() *model.Request, fn func(RequestMetrics) error) error {
+	for r := next(); r != nil; r = next() {
+		m, err := s.Submit(r)
+		if err != nil {
+			return err
+		}
+		if fn != nil {
+			if err := fn(m); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// Close releases nothing: a System owns no goroutines or other background
+// resources. It always returns nil, may be called any number of times,
+// and leaves the system fully usable; it exists so callers that defer
+// Close keep compiling.
+func (s *System) Close() error { return nil }
+
 // mountedProb returns the accumulated probability of the drive's mounted
 // tape (−1 for an empty drive, so empty drives are preferred victims).
 func (s *System) mountedProb(d *drive) float64 {
@@ -1180,27 +955,11 @@ func (s *System) robotWaitTotal() float64 {
 	return total
 }
 
-// Now returns the current simulated time (the maximum over shard clocks;
-// between requests all shards agree).
-func (s *System) Now() float64 {
-	now := 0.0
-	for _, sh := range s.shards {
-		if n := sh.eng.Now(); n > now {
-			now = n
-		}
-	}
-	return now
-}
+// Now returns the current simulated time.
+func (s *System) Now() float64 { return s.eng.Now() }
 
-// TotalSwitches returns the switch count over the system's lifetime,
-// reduced over shards in fixed order.
-func (s *System) TotalSwitches() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.totalSwitches
-	}
-	return n
-}
+// TotalSwitches returns the switch count over the system's lifetime.
+func (s *System) TotalSwitches() int { return s.totalSwitches }
 
 // MountedTapes returns, per library, the sorted tape indices currently
 // mounted (diagnostic).

@@ -23,8 +23,6 @@
 // Recorders compose with Tee for simultaneous export and aggregation.
 package trace
 
-import "sync"
-
 // Kind labels one simulator event. The string values are part of the
 // exported trace schema documented in docs/OBSERVABILITY.md; do not
 // renumber or rename without updating the document and the golden trace.
@@ -138,7 +136,7 @@ type Event struct {
 	// this event belongs to; 0 when the event is not part of an operation
 	// (request lifecycle markers, resource contention, boundary fault
 	// sweeps). Span values are opaque, unique within a run, and identical
-	// at every shard count, so internal/spans reconstructs operation trees
+	// across replays of it, so internal/spans reconstructs operation trees
 	// without heuristics.
 	Span int64
 	// Bytes is the payload size associated with the event, 0 when none.
@@ -190,28 +188,6 @@ func (b *Buffer) Len() int { return len(b.Events) }
 
 // Reset discards all retained events, keeping the cap.
 func (b *Buffer) Reset() { b.Events = b.Events[:0] }
-
-// Locked wraps a Recorder with a mutex, making it safe for concurrent use
-// by multiple emitters. The sharded simulator (tapesys.Options.Shards > 1)
-// installs one around any attached recorder so shard goroutines can emit
-// into a single stream; single-engine runs never pay the lock.
-type Locked struct {
-	mu sync.Mutex
-	r  Recorder
-}
-
-// NewLocked returns a Locked serializing all Record calls onto r.
-func NewLocked(r Recorder) *Locked { return &Locked{r: r} }
-
-// Record forwards the event to the wrapped recorder under the mutex.
-func (l *Locked) Record(ev Event) {
-	l.mu.Lock()
-	l.r.Record(ev)
-	l.mu.Unlock()
-}
-
-// Unwrap returns the recorder serialized by this Locked.
-func (l *Locked) Unwrap() Recorder { return l.r }
 
 // Tee is a Recorder fanning each event out to every child recorder.
 type Tee []Recorder

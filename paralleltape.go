@@ -85,9 +85,8 @@ type (
 	// ExperimentReport is one regenerated table/figure.
 	ExperimentReport = experiments.Report
 	// SimOptions tunes simulator scheduling (pending order, victim
-	// policy), execution (engine shards), and resilience (fault profile,
-	// request timeout, retry policy); the zero value is the paper's
-	// behavior on a single engine with no faults.
+	// policy) and resilience (fault profile, request timeout, retry
+	// policy); the zero value is the paper's behavior with no faults.
 	SimOptions = tapesys.Options
 	// FaultProfile configures seed-deterministic fault injection —
 	// stochastic drive/robot failures, scripted outages, media errors
@@ -213,8 +212,7 @@ func StripeWorkload(w *Workload, unit int64) (*Workload, []ObjectID, error) {
 // Simulate is the end-to-end convenience: place w with s, then submit
 // n requests sampled from the workload's popularity distribution
 // (deterministically in seed), and return the aggregated session
-// statistics. Requests flow through the plan-ahead pipeline
-// (System.SubmitStream), which is byte-identical to a plain Submit loop.
+// statistics.
 func Simulate(hw Hardware, s Scheme, w *Workload, n int, seed uint64) (SessionStats, error) {
 	if n <= 0 {
 		return SessionStats{}, fmt.Errorf("paralleltape: request count must be positive, got %d", n)
@@ -227,28 +225,17 @@ func Simulate(hw Hardware, s Scheme, w *Workload, n int, seed uint64) (SessionSt
 	if err != nil {
 		return SessionStats{}, err
 	}
-	defer sys.Close()
 	stream, err := workload.NewRequestStream(w, rng.New(seed))
 	if err != nil {
 		return SessionStats{}, err
 	}
 	ms := make([]tapesys.RequestMetrics, 0, n)
-	i := 0
-	err = sys.SubmitStream(
-		func() *model.Request {
-			if i >= n {
-				return nil
-			}
-			i++
-			return stream.Next()
-		},
-		func(m RequestMetrics) error {
-			ms = append(ms, m)
-			return nil
-		},
-	)
-	if err != nil {
-		return SessionStats{}, err
+	for i := 0; i < n; i++ {
+		m, err := sys.Submit(stream.Next())
+		if err != nil {
+			return SessionStats{}, err
+		}
+		ms = append(ms, m)
 	}
 	return metrics.AggregateSession(ms), nil
 }
