@@ -54,8 +54,7 @@ type options struct {
 	tapes       int
 	capacity    string
 	rate        string
-	shards      int  // ignored -shards; still validated
-	pipeline    bool // ignored -pipeline
+	shards      int // ignored -shards; a negative value is still an error
 	target      string
 	workload    string        // JSON workload trace to load instead of generating
 	tracePath   string        // structured event trace export (.jsonl or .csv)
@@ -88,58 +87,63 @@ type options struct {
 
 func main() {
 	var o options
-	flag.StringVar(&o.scheme, "scheme", "parallel-batch",
-		"placement scheme: parallel-batch, object-probability, cluster-probability, round-robin, online")
-	flag.IntVar(&o.m, "m", 4, "switch drives per library (parallel-batch/online)")
-	flag.IntVar(&o.epochs, "epochs", 4, "arrival waves for the online scheme")
-	flag.IntVar(&o.requests, "requests", 200, "number of simulated request submissions")
-	flag.Uint64Var(&o.seed, "seed", 20060815, "master random seed")
-	flag.Float64Var(&o.alpha, "alpha", 0.3, "Zipf request popularity skew")
-	flag.IntVar(&o.objects, "objects", 30000, "object population")
-	flag.IntVar(&o.nRequests, "predefined", 300, "predefined request count")
-	flag.IntVar(&o.libraries, "libraries", 3, "number of tape libraries")
-	flag.IntVar(&o.drives, "drives", 8, "drives per library")
-	flag.IntVar(&o.tapes, "tapes", 80, "tapes per library")
-	flag.StringVar(&o.capacity, "capacity", "400GB", "cartridge capacity")
-	flag.StringVar(&o.rate, "rate", "80MB", "native transfer rate (bytes/s)")
-	flag.IntVar(&o.shards, "shards", 0,
-		"ignored, kept for one release: the simulator always runs one engine (a negative value is still an error)")
-	flag.BoolVar(&o.pipeline, "pipeline", false,
-		"ignored, kept for one release: requests are always submitted one at a time")
-	flag.StringVar(&o.target, "request-size", "", "rescale object sizes to this mean request size (e.g. 213GB)")
-	flag.StringVar(&o.workload, "workload", "", "load workload from a JSON trace instead of generating")
-	flag.StringVar(&o.tracePath, "trace", "", "write the structured event trace to this file (JSONL; .csv extension switches to CSV)")
-	flag.StringVar(&o.report, "report", "", "write the per-component run report to this file (text; .csv extension switches to CSV; - for stdout)")
-	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve live telemetry on this address for the life of the run (Prometheus text at /metrics, expvar JSON at /debug/vars, net/http/pprof at /debug/pprof/)")
-	flag.DurationVar(&o.progress, "progress", 0, "print a progress line to stderr at this interval (e.g. 5s; 0 disables)")
-	flag.BoolVar(&o.csv, "csv", false, "emit per-request metrics as CSV")
-	flag.BoolVar(&o.verbose, "v", false, "print per-request lines")
-	flag.BoolVar(&o.util, "utilization", false, "print drive/robot utilization after the run")
-	flag.BoolVar(&o.describe, "describe", false, "print placement diagnostics before simulating")
-	flag.BoolVar(&o.estimate, "estimate", false, "print the analytic (no-simulation) estimate alongside")
-	flag.IntVar(&o.events, "events", 0, "print the first N simulator events")
-	flag.IntVar(&o.explain, "explain", 0,
-		"after the run, print the N slowest requests with their critical path and per-phase latency attribution (reconstructed from the event trace; same analysis as tapetrace slowest)")
-	flag.BoolVar(&o.faults, "faults", false,
-		"enable stochastic fault injection: drive/robot failures from -mtbf, media errors from -media-error (docs/RESILIENCE.md)")
-	flag.Float64Var(&o.mtbf, "mtbf", 40000,
-		"per-drive mean time between failures in simulated seconds; robots get 10x (with -faults)")
-	flag.Float64Var(&o.repair, "repair", 600,
-		"mean drive repair time in simulated seconds; robots repair in half (with -faults)")
-	flag.Float64Var(&o.mediaError, "media-error", 0.002,
-		"permanent media-error probability per tape-group read (with -faults)")
-	flag.Uint64Var(&o.faultSeed, "fault-seed", 0,
-		"fault-injection seed (0 = derive from -seed); same seed + config = byte-identical degraded run")
-	flag.Float64Var(&o.timeout, "timeout", 0,
-		"per-request timeout in simulated seconds (0 = none); timed-out requests report partial results")
-	flag.Float64Var(&o.backoff, "retry-backoff", 30,
-		"delay in simulated seconds before an interrupted operation is retried on a surviving drive")
+	bindFlags(flag.CommandLine, &o)
 	flag.Parse()
 
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "tapesim:", err)
 		os.Exit(1)
 	}
+}
+
+// bindFlags registers every tapesim flag on fs, storing the values in o.
+func bindFlags(fs *flag.FlagSet, o *options) {
+	fs.StringVar(&o.scheme, "scheme", "parallel-batch",
+		"placement scheme: parallel-batch, object-probability, cluster-probability, round-robin, online")
+	fs.IntVar(&o.m, "m", 4, "switch drives per library (parallel-batch/online)")
+	fs.IntVar(&o.epochs, "epochs", 4, "arrival waves for the online scheme")
+	fs.IntVar(&o.requests, "requests", 200, "number of simulated request submissions")
+	fs.Uint64Var(&o.seed, "seed", 20060815, "master random seed")
+	fs.Float64Var(&o.alpha, "alpha", 0.3, "Zipf request popularity skew")
+	fs.IntVar(&o.objects, "objects", 30000, "object population")
+	fs.IntVar(&o.nRequests, "predefined", 300, "predefined request count")
+	fs.IntVar(&o.libraries, "libraries", 3, "number of tape libraries")
+	fs.IntVar(&o.drives, "drives", 8, "drives per library")
+	fs.IntVar(&o.tapes, "tapes", 80, "tapes per library")
+	fs.StringVar(&o.capacity, "capacity", "400GB", "cartridge capacity")
+	fs.StringVar(&o.rate, "rate", "80MB", "native transfer rate (bytes/s)")
+	fs.IntVar(&o.shards, "shards", 0,
+		"ignored, kept for one release: the simulator always runs one engine (a negative value is still an error)")
+	_ = fs.Bool("pipeline", false,
+		"ignored, kept for one release: requests are always submitted one at a time")
+	fs.StringVar(&o.target, "request-size", "", "rescale object sizes to this mean request size (e.g. 213GB)")
+	fs.StringVar(&o.workload, "workload", "", "load workload from a JSON trace instead of generating")
+	fs.StringVar(&o.tracePath, "trace", "", "write the structured event trace to this file (JSONL; .csv extension switches to CSV)")
+	fs.StringVar(&o.report, "report", "", "write the per-component run report to this file (text; .csv extension switches to CSV; - for stdout)")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve live telemetry on this address for the life of the run (Prometheus text at /metrics, expvar JSON at /debug/vars, net/http/pprof at /debug/pprof/)")
+	fs.DurationVar(&o.progress, "progress", 0, "print a progress line to stderr at this interval (e.g. 5s; 0 disables)")
+	fs.BoolVar(&o.csv, "csv", false, "emit per-request metrics as CSV")
+	fs.BoolVar(&o.verbose, "v", false, "print per-request lines")
+	fs.BoolVar(&o.util, "utilization", false, "print drive/robot utilization after the run")
+	fs.BoolVar(&o.describe, "describe", false, "print placement diagnostics before simulating")
+	fs.BoolVar(&o.estimate, "estimate", false, "print the analytic (no-simulation) estimate alongside")
+	fs.IntVar(&o.events, "events", 0, "print the first N simulator events")
+	fs.IntVar(&o.explain, "explain", 0,
+		"after the run, print the N slowest requests with their critical path and per-phase latency attribution (reconstructed from the event trace; same analysis as tapetrace slowest)")
+	fs.BoolVar(&o.faults, "faults", false,
+		"enable stochastic fault injection: drive/robot failures from -mtbf, media errors from -media-error (docs/RESILIENCE.md)")
+	fs.Float64Var(&o.mtbf, "mtbf", 40000,
+		"per-drive mean time between failures in simulated seconds; robots get 10x (with -faults)")
+	fs.Float64Var(&o.repair, "repair", 600,
+		"mean drive repair time in simulated seconds; robots repair in half (with -faults)")
+	fs.Float64Var(&o.mediaError, "media-error", 0.002,
+		"permanent media-error probability per tape-group read (with -faults)")
+	fs.Uint64Var(&o.faultSeed, "fault-seed", 0,
+		"fault-injection seed (0 = derive from -seed); same seed + config = byte-identical degraded run")
+	fs.Float64Var(&o.timeout, "timeout", 0,
+		"per-request timeout in simulated seconds (0 = none); timed-out requests report partial results")
+	fs.Float64Var(&o.backoff, "retry-backoff", 30,
+		"delay in simulated seconds before an interrupted operation is retried on a surviving drive")
 }
 
 // isCSVPath reports whether an output path selects the CSV format: a
@@ -149,6 +153,9 @@ func isCSVPath(path string) bool {
 }
 
 func run(o options) error {
+	if o.shards < 0 {
+		return fmt.Errorf("negative -shards %d", o.shards)
+	}
 	// Create every output destination first, so an unwritable or
 	// uncreatable path fails in milliseconds at flag-handling time rather
 	// than after the simulation completes.
@@ -270,7 +277,7 @@ func run(o options) error {
 		fmt.Println()
 	}
 
-	opts := tapesys.Options{Shards: o.shards, RequestTimeout: o.timeout, RetryBackoff: o.backoff}
+	opts := tapesys.Options{RequestTimeout: o.timeout, RetryBackoff: o.backoff}
 	if o.faults {
 		fseed := o.faultSeed
 		if fseed == 0 {

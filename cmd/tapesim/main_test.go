@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"io"
 	"net/http"
 	"os"
@@ -83,19 +84,23 @@ func captureStdout(t *testing.T, f func() error) string {
 }
 
 // TestRunPipelineMatchesSubmit checks the ignored -shards and -pipeline
-// flags change nothing: a run with both prints byte-identical output to
-// the default run.
+// flags still parse and change nothing: a run with both prints
+// byte-identical output to the default run.
 func TestRunPipelineMatchesSubmit(t *testing.T) {
-	plain := captureStdout(t, func() error {
-		return runSmall(t, "parallel-batch", func(o *options) { o.csv = true })
-	})
-	flagged := captureStdout(t, func() error {
-		return runSmall(t, "parallel-batch", func(o *options) {
-			o.csv = true
-			o.shards = 2
-			o.pipeline = true
-		})
-	})
+	small := []string{"-m", "2", "-epochs", "2", "-requests", "5", "-seed", "1",
+		"-objects", "300", "-predefined", "15", "-libraries", "2", "-drives", "4",
+		"-tapes", "16", "-capacity", "20GB", "-csv"}
+	runArgs := func(extra ...string) string {
+		var o options
+		fs := flag.NewFlagSet("tapesim", flag.ContinueOnError)
+		bindFlags(fs, &o)
+		if err := fs.Parse(append(small, extra...)); err != nil {
+			t.Fatal(err)
+		}
+		return captureStdout(t, func() error { return run(o) })
+	}
+	plain := runArgs()
+	flagged := runArgs("-shards", "2", "-pipeline")
 	if plain != flagged {
 		t.Errorf("-shards 2 -pipeline output diverges:\n--- default ---\n%s--- flagged ---\n%s", plain, flagged)
 	}
@@ -107,6 +112,9 @@ func TestRunBadInputs(t *testing.T) {
 	}
 	if err := runSmall(t, "parallel-batch", func(o *options) { o.rate = "" }); err == nil {
 		t.Error("bad rate accepted")
+	}
+	if err := runSmall(t, "parallel-batch", func(o *options) { o.shards = -1 }); err == nil {
+		t.Error("negative -shards accepted")
 	}
 	if err := runSmall(t, "parallel-batch", func(o *options) { o.target = "zzz" }); err == nil {
 		t.Error("bad target accepted")

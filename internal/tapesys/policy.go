@@ -86,8 +86,10 @@ type Options struct {
 	Victim VictimPolicy
 
 	// Shards is accepted and ignored: every System runs on one engine.
-	// The field remains so existing callers compile; a negative value is
-	// still rejected.
+	// A negative value is still rejected.
+	//
+	// Deprecated: leave it unset. The field remains only until its last
+	// caller, the repository benchmark (perfbench), stops setting it.
 	Shards int
 
 	// Faults attaches a fault-injection profile (stochastic MTBF/repair

@@ -913,10 +913,12 @@ func (s *System) Submit(r *model.Request) (RequestMetrics, error) {
 // SubmitStream submits a stream of requests in order: next supplies
 // requests and returns nil to end the stream; fn, if non-nil, observes
 // each request's metrics in submission order and may stop the stream by
-// returning an error. It is a loop over Submit, kept so callers that
-// consume requests from a generator need not write the loop themselves.
-// On error (from a request or from fn) the stream stops; the system
-// remains usable.
+// returning an error. On error (from a request or from fn) the stream
+// stops; the system remains usable.
+//
+// Deprecated: call Submit in a loop. SubmitStream is that loop; it
+// remains only until its last caller, the repository benchmark
+// (perfbench), stops calling it.
 func (s *System) SubmitStream(next func() *model.Request, fn func(RequestMetrics) error) error {
 	for r := next(); r != nil; r = next() {
 		m, err := s.Submit(r)
@@ -934,8 +936,10 @@ func (s *System) SubmitStream(next func() *model.Request, fn func(RequestMetrics
 
 // Close releases nothing: a System owns no goroutines or other background
 // resources. It always returns nil, may be called any number of times,
-// and leaves the system fully usable; it exists so callers that defer
-// Close keep compiling.
+// and leaves the system fully usable.
+//
+// Deprecated: a System needs no Close. The method remains only until its
+// last caller, the repository benchmark (perfbench), stops calling it.
 func (s *System) Close() error { return nil }
 
 // mountedProb returns the accumulated probability of the drive's mounted
