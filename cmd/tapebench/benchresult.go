@@ -148,9 +148,9 @@ func setBenchtime(v string) error {
 // isolate the pipeline's three stages (§5.1 clustering, §5.3 step 6
 // alignment, §5.4 balancing), and engine-schedule / engine-schedule-skewed
 // / engine-schedule-churn isolate the event-queue kernel (uniform deadlines,
-// a near/far mix, and a standing population migrating through the ladder
-// queue's tiers; all mirror the benchmarks in internal/sim and must stay at
-// zero allocs/op).
+// a near/far mix that spills past the sorted near tier, and a standing
+// far-future population in the overflow heap; all mirror the benchmarks in
+// internal/sim and must stay at zero allocs/op).
 func measureBenchmarks(cfg paralleltape.ExperimentConfig) ([]benchMeasurement, error) {
 	w, err := paralleltape.GenerateWorkload(benchParams(cfg), cfg.Seed)
 	if err != nil {

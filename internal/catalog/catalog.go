@@ -1,7 +1,7 @@
 // Package catalog implements the simulator's indexing database (§6): given
 // a request it resolves which cartridges hold the requested objects and at
-// which byte positions, so the scheduler can plan tape mounts and
-// seek-optimal reads. It also validates that a placement covers every
+// which byte positions, so the scheduler can plan tape mounts and the
+// read order on each tape. It also validates that a placement covers every
 // object exactly once — the structural contract every placement scheme
 // must satisfy.
 package catalog

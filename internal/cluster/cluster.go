@@ -25,9 +25,8 @@
 // entry slice aggregated by a single scan, and live-cluster adjacency as
 // spans into one arena that is compacted when merges strand too many dead
 // entries. docs/PERFORMANCE.md ("Placement pipeline") sketches the layout
-// and the argument for why every transformation — including the optional
-// parallel edge aggregation behind Config.Parallel — reproduces the
-// original map-based results bit for bit.
+// and the argument for why every transformation reproduces the original
+// map-based results bit for bit.
 package cluster
 
 import (
@@ -35,9 +34,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"slices"
-	"sync"
 
 	"paralleltape/internal/model"
 )
@@ -88,12 +85,12 @@ type Config struct {
 	// MaxBytes, if positive, refuses merges that would exceed this total
 	// size (a cluster must fit its tape batch).
 	MaxBytes int64
-	// Parallel fans the similarity-edge aggregation across
-	// runtime.GOMAXPROCS workers. The result is bit-identical to the
-	// sequential path at any worker count: workers only generate and sort
-	// their chunk's pair contributions; every floating-point sum happens in
-	// one sequential scan over the chunk-merged stream, which visits
-	// contributions in global request order.
+	// Parallel is ignored: clustering always runs on the calling
+	// goroutine.
+	//
+	// Deprecated: the parallel similarity-edge aggregation it selected
+	// was removed (the edge build is about 2% of a Run). The field stays
+	// so existing callers keep compiling.
 	Parallel bool
 }
 
@@ -134,18 +131,6 @@ type atom struct {
 
 // Run clusters the workload's objects under cfg.
 func Run(w *model.Workload, cfg Config) (*Result, error) {
-	workers := 1
-	if cfg.Parallel {
-		if n := runtime.GOMAXPROCS(0); n > workers {
-			workers = n
-		}
-	}
-	return runWorkers(w, cfg, workers)
-}
-
-// runWorkers is Run with an explicit edge-aggregation worker count; tests
-// use it to exercise the parallel path regardless of GOMAXPROCS.
-func runWorkers(w *model.Workload, cfg Config, workers int) (*Result, error) {
 	if cfg.Threshold < 0 || math.IsNaN(cfg.Threshold) {
 		return nil, fmt.Errorf("cluster: threshold must be non-negative, got %v", cfg.Threshold)
 	}
@@ -168,7 +153,7 @@ func runWorkers(w *model.Workload, cfg Config, workers int) (*Result, error) {
 	defer putScratch(s)
 	atoms, unreferenced := buildAtomsInto(w, s)
 	atoms = splitAtomsInto(w, atoms, cfg, s)
-	merged := agglomerateInto(w, atoms, cfg, s, workers)
+	merged := agglomerateInto(w, atoms, cfg, s)
 	res := &Result{Clusters: merged, Unreferenced: unreferenced}
 	// Objects[0] is unique per cluster (the clusters partition the
 	// referenced objects), so this comparison is a total order and the
@@ -344,13 +329,12 @@ type edgeEntry struct {
 // compatibility shim over buildEdgesInto.
 func buildEdges(w *model.Workload, atoms []atom) []pairEdge {
 	s := &scratch{}
-	return slices.Clone(buildEdgesInto(w, atoms, s, 1))
+	return slices.Clone(buildEdgesInto(w, atoms, s))
 }
 
 // buildEdgesInto computes s(a,b) for all co-occurring atom pairs into
-// s.edges, fanning pair generation across workers chunks when workers > 1.
-// Output is sorted by (a, b) and bit-identical at any worker count.
-func buildEdgesInto(w *model.Workload, atoms []atom, s *scratch, workers int) []pairEdge {
+// s.edges, sorted by (a, b).
+func buildEdgesInto(w *model.Workload, atoms []atom, s *scratch) []pairEdge {
 	nReq := len(w.Requests)
 	// Request → atom CSR index. Atoms are scanned in index order, so each
 	// request's member span comes out ascending; pair keys within one
@@ -380,118 +364,27 @@ func buildEdgesInto(w *model.Workload, atoms []atom, s *scratch, workers int) []
 	}
 	s.reqOff, s.reqAtoms, s.cursor = rOff, rAtoms, cur
 
-	// genEntries emits every pair contribution for requests [lo, hi) into
-	// dst (sized exactly) and stable-sorts them by key, so equal keys stay
-	// in request order. tmp and count are scratch for the radix sort; count
-	// must hold len(atoms) slots.
-	genEntries := func(dst, tmp []edgeEntry, count []int32, lo, hi int) {
-		pos := 0
-		for ri := lo; ri < hi; ri++ {
-			members := rAtoms[rOff[ri]:rOff[ri+1]]
-			p := w.Requests[ri].Prob
-			for i := 0; i < len(members); i++ {
-				a := int64(members[i]) << 32
-				for j := i + 1; j < len(members); j++ {
-					dst[pos] = edgeEntry{key: a | int64(members[j]), p: p}
-					pos++
-				}
-			}
-		}
-		radixSortEntries(dst, tmp, count)
-	}
-
-	if workers <= 1 || pairs == 0 {
-		entries := growSlice(s.entries, pairs)
-		tmp := growSlice(s.entriesTmp, pairs)
-		count := growSlice(s.counts, len(atoms))
-		genEntries(entries, tmp, count, 0, nReq)
-		s.entries, s.entriesTmp, s.counts = entries, tmp, count
-		s.edges = scanEntries(s.edges[:0], entries)
-		return s.edges
-	}
-
-	// Cut the request range into ≤ workers contiguous chunks of roughly
-	// equal pair weight. Chunking only affects scheduling: the merge below
-	// replays contributions in global request order regardless of where
-	// the cuts land.
-	type chunk struct{ lo, hi, pairs int }
-	chunks := make([]chunk, 0, workers)
-	target := (pairs + workers - 1) / workers
-	c := chunk{lo: 0}
+	// Emit every pair contribution in request order, then stable-sort by
+	// key, so equal keys stay in request order for the scan.
+	entries := growSlice(s.entries, pairs)
+	pos := 0
 	for ri := 0; ri < nReq; ri++ {
-		m := int(rOff[ri+1] - rOff[ri])
-		c.pairs += m * (m - 1) / 2
-		if c.pairs >= target && len(chunks) < workers-1 {
-			c.hi = ri + 1
-			chunks = append(chunks, c)
-			c = chunk{lo: ri + 1}
-		}
-	}
-	c.hi = nReq
-	chunks = append(chunks, c)
-
-	for len(s.chunkBufs) < len(chunks) {
-		s.chunkBufs = append(s.chunkBufs, nil)
-		s.chunkTmps = append(s.chunkTmps, nil)
-		s.chunkCounts = append(s.chunkCounts, nil)
-	}
-	var wg sync.WaitGroup
-	for ci := 1; ci < len(chunks); ci++ {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			s.chunkBufs[ci] = growSlice(s.chunkBufs[ci], chunks[ci].pairs)
-			s.chunkTmps[ci] = growSlice(s.chunkTmps[ci], chunks[ci].pairs)
-			s.chunkCounts[ci] = growSlice(s.chunkCounts[ci], len(atoms))
-			genEntries(s.chunkBufs[ci], s.chunkTmps[ci], s.chunkCounts[ci], chunks[ci].lo, chunks[ci].hi)
-		}(ci)
-	}
-	s.chunkBufs[0] = growSlice(s.chunkBufs[0], chunks[0].pairs)
-	s.chunkTmps[0] = growSlice(s.chunkTmps[0], chunks[0].pairs)
-	s.chunkCounts[0] = growSlice(s.chunkCounts[0], len(atoms))
-	genEntries(s.chunkBufs[0], s.chunkTmps[0], s.chunkCounts[0], chunks[0].lo, chunks[0].hi)
-	wg.Wait()
-
-	// Sequential merge-aggregate: for each key (ascending), sum its
-	// contributions chunk by chunk in chunk-index order. Chunks cover
-	// contiguous ascending request ranges and each chunk's equal-key run
-	// is in request order (stable sort), so the summation order is the
-	// global request order — the same order the sequential scan (and the
-	// old map accumulator) used.
-	cursors := make([]int, len(chunks))
-	edges := s.edges[:0]
-	for {
-		bestKey := int64(0)
-		found := false
-		for ci := range chunks {
-			buf := s.chunkBufs[ci]
-			if cursors[ci] < len(buf) {
-				if k := buf[cursors[ci]].key; !found || k < bestKey {
-					bestKey, found = k, true
-				}
+		members := rAtoms[rOff[ri]:rOff[ri+1]]
+		p := w.Requests[ri].Prob
+		for i := 0; i < len(members); i++ {
+			a := int64(members[i]) << 32
+			for j := i + 1; j < len(members); j++ {
+				entries[pos] = edgeEntry{key: a | int64(members[j]), p: p}
+				pos++
 			}
 		}
-		if !found {
-			break
-		}
-		sum, first := 0.0, true
-		for ci := range chunks {
-			buf := s.chunkBufs[ci]
-			for cursors[ci] < len(buf) && buf[cursors[ci]].key == bestKey {
-				if first {
-					sum, first = buf[cursors[ci]].p, false
-				} else {
-					sum += buf[cursors[ci]].p
-				}
-				cursors[ci]++
-			}
-		}
-		edges = append(edges, pairEdge{
-			a: int(bestKey >> 32), b: int(bestKey & 0xFFFFFFFF), sim: sum,
-		})
 	}
-	s.edges = edges
-	return edges
+	tmp := growSlice(s.entriesTmp, pairs)
+	count := growSlice(s.counts, len(atoms))
+	radixSortEntries(entries, tmp, count)
+	s.entries, s.entriesTmp, s.counts = entries, tmp, count
+	s.edges = scanEntries(s.edges[:0], entries)
+	return s.edges
 }
 
 // radixSortEntries stable-sorts entries by key with two counting passes —
@@ -983,10 +876,10 @@ func (g *agg) union(a, b int32, sim float64) {
 	cb.adjLen = 0
 }
 
-func agglomerateInto(w *model.Workload, atoms []atom, cfg Config, s *scratch, workers int) []Cluster {
+func agglomerateInto(w *model.Workload, atoms []atom, cfg Config, s *scratch) []Cluster {
 	nReq := len(w.Requests)
 	words := (nReq + 63) / 64
-	edges := buildEdgesInto(w, atoms, s, workers)
+	edges := buildEdgesInto(w, atoms, s)
 	n := len(atoms)
 
 	// Pre-count adjacency degrees so every span is born at its final

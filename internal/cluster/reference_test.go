@@ -14,8 +14,8 @@ import (
 // This file pins the CSR/scratch rewrite of the clustering pipeline to the
 // original map-based implementation, kept here verbatim as referenceRun.
 // The contract is bit-identity — every float64 in the result compared by
-// its bit pattern — across all linkages, cap settings, and edge-aggregation
-// worker counts.
+// its bit pattern — across all linkages and cap settings, on fresh and
+// reused scratch.
 
 // referenceRun is the pre-rewrite Run: map-grouped atoms, a
 // map[int64]float64 edge accumulator, and map[int]linkInfo neighbor sets.
@@ -467,8 +467,10 @@ func TestRunMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 2, 3, 5} {
-				got, err := runWorkers(w, cfg, workers)
+			// Four runs back to back: every run after the first reuses
+			// the scratch buffers the previous one left behind.
+			for pass := 0; pass < 4; pass++ {
+				got, err := Run(w, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -476,16 +478,9 @@ func TestRunMatchesReference(t *testing.T) {
 					requireBitIdentical(t, got, want)
 				})
 				if err := got.Validate(w); err != nil {
-					t.Fatalf("%s/%s workers=%d: %v", wname, cname, workers, err)
+					t.Fatalf("%s/%s pass %d: %v", wname, cname, pass, err)
 				}
 			}
-			// Parallel=true through the public API must agree too.
-			cfg.Parallel = true
-			got, err := Run(w, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireBitIdentical(t, got, want)
 		}
 	}
 }

@@ -24,15 +24,12 @@ type scratch struct {
 
 	// buildEdges: request→atom CSR index, flat pair contributions (plus
 	// radix-sort temporaries and count arrays), edges.
-	reqOff      []int32
-	reqAtoms    []int32
-	entries     []edgeEntry
-	entriesTmp  []edgeEntry
-	counts      []int32
-	chunkBufs   [][]edgeEntry
-	chunkTmps   [][]edgeEntry
-	chunkCounts [][]int32
-	edges       []pairEdge
+	reqOff     []int32
+	reqAtoms   []int32
+	entries    []edgeEntry
+	entriesTmp []edgeEntry
+	counts     []int32
+	edges      []pairEdge
 
 	// agglomerate: cluster table, adjacency arena, request bitsets, heap.
 	clusters []liveCluster

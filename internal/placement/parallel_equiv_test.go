@@ -2,12 +2,9 @@ package placement
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
-	"paralleltape/internal/cluster"
 	"paralleltape/internal/model"
-	"paralleltape/internal/tape"
 )
 
 // requireSameResult asserts two placements are byte-identical: every object
@@ -68,84 +65,6 @@ func requireSameResult(t *testing.T, w *model.Workload, a, b *Result) {
 			t.Fatalf("TapeProb[%s] = %x vs %x (present=%v)", k,
 				math.Float64bits(pa), math.Float64bits(pb), ok)
 		}
-	}
-}
-
-// TestParallelBatchParallelKnobBitIdentical runs every interesting
-// ParallelBatch configuration — the three linkages, cluster caps, and the
-// ablation switches — with Parallel off and on and requires byte-identical
-// results. GOMAXPROCS is raised so the Parallel runs genuinely fan out even
-// on a single-CPU machine.
-func TestParallelBatchParallelKnobBitIdentical(t *testing.T) {
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
-
-	hw := smallHW()
-	configs := map[string]ParallelBatch{
-		"default":  {M: 2},
-		"single":   {M: 2, Clustering: cluster.Config{Linkage: cluster.Single}},
-		"complete": {M: 2, Clustering: cluster.Config{Linkage: cluster.Complete}},
-		"capped": {M: 2, Clustering: cluster.Config{
-			Linkage: cluster.Average, MaxObjects: 4, MaxBytes: 12 << 10}},
-		"threshold": {M: 2, Clustering: cluster.Config{
-			Linkage: cluster.Average, Threshold: 0.02}},
-		"no-refine": {M: 2, NoRefine: true},
-		"first-fit": {M: 2, FirstFitBalance: true},
-		"wide-hot":  {M: 2, WideHotBatch: true},
-		"bot-only":  {M: 2, NoOrganPipe: true},
-	}
-	for _, seed := range []uint64{3, 17} {
-		w := smallWL(t, seed)
-		for name, cfg := range configs {
-			seq, err := cfg.Place(w, hw)
-			if err != nil {
-				t.Fatalf("seed %d %s sequential: %v", seed, name, err)
-			}
-			cfg.Parallel = true
-			par, err := cfg.Place(w, hw)
-			if err != nil {
-				t.Fatalf("seed %d %s parallel: %v", seed, name, err)
-			}
-			requireSameResult(t, w, seq, par)
-		}
-	}
-}
-
-// TestFinishWorkersBitIdentical drives the builder's finish step directly at
-// several worker counts (the Place path can only reach GOMAXPROCS) and
-// requires identical catalogs and probability tables.
-func TestFinishWorkersBitIdentical(t *testing.T) {
-	hw := smallHW()
-	w := smallWL(t, 5)
-	probs := w.ObjectProbs()
-	fill := func() *builder {
-		b := newBuilder(w, hw, probs)
-		for i := range w.Objects {
-			k := tape.Key{Library: i % hw.Libraries, Index: (i / hw.Libraries) % hw.TapesPerLib}
-			if err := b.add(k, model.ObjectID(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return b
-	}
-	align := func(k tape.Key) Alignment {
-		if k.Index%2 == 0 {
-			return AlignOrganPipe
-		}
-		return AlignBOTDescending
-	}
-	catSeq, probSeq, err := fill().finishWorkers(align, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 8} {
-		catPar, probPar, err := fill().finishWorkers(align, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		a := &Result{Scheme: "x", Catalog: catSeq, TapeProb: probSeq}
-		b := &Result{Scheme: "x", Catalog: catPar, TapeProb: probPar}
-		requireSameResult(t, w, a, b)
 	}
 }
 

@@ -2,7 +2,6 @@ package placement
 
 import (
 	"fmt"
-	"runtime"
 
 	"paralleltape/internal/cluster"
 	"paralleltape/internal/model"
@@ -45,11 +44,11 @@ type ParallelBatch struct {
 	// literal §5.3 step 3 sizing, k·n·(d−m)·C_t.
 	WideHotBatch bool
 
-	// Parallel fans the placement pipeline across runtime.GOMAXPROCS
-	// workers: similarity-edge aggregation inside the internal cluster.Run
-	// call (ignored when Precomputed is set) and the per-tape alignment in
-	// the finish step. The placement is bit-identical with the knob on or
-	// off — see docs/PERFORMANCE.md for the determinism argument.
+	// Parallel is ignored: placement always runs on the calling goroutine.
+	//
+	// Deprecated: the parallel edge aggregation and per-tape alignment it
+	// selected were removed (together about 2% of a placement). The field
+	// stays so existing callers keep compiling.
 	Parallel bool
 }
 
@@ -180,13 +179,7 @@ func (s ParallelBatch) Place(w *model.Workload, hw tape.Hardware) (*Result, erro
 		}
 		return AlignBOTDescending
 	}
-	workers := 1
-	if s.Parallel {
-		if n := runtime.GOMAXPROCS(0); n > workers {
-			workers = n
-		}
-	}
-	cat, tapeProb, err := b.finishWorkers(align, workers)
+	cat, tapeProb, err := b.finish(align)
 	if err != nil {
 		return nil, err
 	}
@@ -247,10 +240,8 @@ func (s ParallelBatch) buildUnits(w *model.Workload, probs []float64) ([]unit, e
 	}
 	res := s.Precomputed
 	if res == nil {
-		cfg := s.Clustering
-		cfg.Parallel = cfg.Parallel || s.Parallel
 		var err error
-		if res, err = cluster.Run(w, cfg); err != nil {
+		if res, err = cluster.Run(w, s.Clustering); err != nil {
 			return nil, err
 		}
 	}

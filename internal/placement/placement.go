@@ -25,8 +25,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"paralleltape/internal/catalog"
 	"paralleltape/internal/model"
@@ -197,11 +195,30 @@ const (
 // finish aligns each cartridge according to align(key) (§5.3 step 6) and
 // builds the catalog plus the per-tape probability table.
 func (b *builder) finish(align func(tape.Key) Alignment) (*catalog.Catalog, map[tape.Key]float64, error) {
-	return b.finishWorkers(align, 1)
+	cat := catalog.New(b.w.NumObjects())
+	tapeProb := make(map[tape.Key]float64, len(b.tapes))
+	var sc alignScratch
+	var order []model.ObjectID
+	for i := range b.tapes {
+		t := &b.tapes[i]
+		order = slices.Grow(order[:0], len(t.ids))[:len(t.ids)]
+		prob := b.alignTape(&sc, i, order, align)
+		l := tape.NewLayoutWithCapacity(t.key, len(t.ids))
+		for _, id := range order {
+			if _, err := l.Append(id, b.w.Objects[id].Size, b.hw.Capacity); err != nil {
+				return nil, nil, err
+			}
+		}
+		if err := cat.AddLayout(l); err != nil {
+			return nil, nil, err
+		}
+		tapeProb[t.key] = prob
+	}
+	return cat, tapeProb, nil
 }
 
-// alignWorker holds one worker's reusable alignment buffers.
-type alignWorker struct {
+// alignScratch holds finish's reusable alignment buffers.
+type alignScratch struct {
 	arr   organpipe.Arranger
 	items []organpipe.Item
 }
@@ -209,7 +226,7 @@ type alignWorker struct {
 // alignTape writes tape i's aligned object order into dst and returns the
 // tape's accumulated probability (summed in the aligned order, exactly as
 // the pre-rework finish did inside its append loop).
-func (b *builder) alignTape(wk *alignWorker, i int, dst []model.ObjectID, align func(tape.Key) Alignment) float64 {
+func (b *builder) alignTape(wk *alignScratch, i int, dst []model.ObjectID, align func(tape.Key) Alignment) float64 {
 	t := &b.tapes[i]
 	switch align(t.key) {
 	case AlignOrganPipe:
@@ -240,61 +257,6 @@ func (b *builder) alignTape(wk *alignWorker, i int, dst []model.ObjectID, align 
 		prob += b.probs[id]
 	}
 	return prob
-}
-
-// finishWorkers is finish with the per-tape alignment fanned across
-// workers goroutines. Tapes are independent — each worker owns its scratch
-// buffers and writes a disjoint region of one output arena — and the
-// catalog assembly below stays sequential in cartridge creation order, so
-// the result is bit-identical at any worker count.
-func (b *builder) finishWorkers(align func(tape.Key) Alignment, workers int) (*catalog.Catalog, map[tape.Key]float64, error) {
-	cat := catalog.New(b.w.NumObjects())
-	nt := len(b.tapes)
-	tapeProb := make(map[tape.Key]float64, nt)
-	offs := make([]int, nt+1)
-	for i := range b.tapes {
-		offs[i+1] = offs[i] + len(b.tapes[i].ids)
-	}
-	ordered := make([]model.ObjectID, offs[nt])
-	probsOut := make([]float64, nt)
-	if workers > 1 && nt > 1 {
-		var wg sync.WaitGroup
-		var next atomic.Int64
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var wk alignWorker
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= nt {
-						return
-					}
-					probsOut[i] = b.alignTape(&wk, i, ordered[offs[i]:offs[i+1]], align)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		var wk alignWorker
-		for i := 0; i < nt; i++ {
-			probsOut[i] = b.alignTape(&wk, i, ordered[offs[i]:offs[i+1]], align)
-		}
-	}
-	for i := range b.tapes {
-		t := &b.tapes[i]
-		l := tape.NewLayoutWithCapacity(t.key, len(t.ids))
-		for _, id := range ordered[offs[i]:offs[i+1]] {
-			if _, err := l.Append(id, b.w.Objects[id].Size, b.hw.Capacity); err != nil {
-				return nil, nil, err
-			}
-		}
-		if err := cat.AddLayout(l); err != nil {
-			return nil, nil, err
-		}
-		tapeProb[t.key] = probsOut[i]
-	}
-	return cat, tapeProb, nil
 }
 
 // alignAll returns an alignment function applying one mode everywhere.

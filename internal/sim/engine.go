@@ -19,12 +19,13 @@
 // with a jump-table Run method) plus a stage tag, and pooled records
 // schedule themselves through ScheduleOp without capturing a closure; plain
 // func() callbacks remain first-class through Schedule (see op.go). The
-// pending set is a ladder queue — a sorted near-future tier, lazily sorted
-// far-future rungs, and a 4-ary heap fallback (see queue.go) — whose pop
-// order is the (at, seq) total order, independent of queue shape.
+// pending set is a sorted near-future tier consumed by a cursor, with a
+// 4-ary heap that takes the far half of any population past 64 events (see
+// queue.go); its pop order is the (at, seq) total order, independent of
+// which tier an event sits in.
 //
 // The kernel is also allocation-free in steady state (see
-// docs/PERFORMANCE.md): every queue tier reuses its backing array, so
+// docs/PERFORMANCE.md): both queue tiers reuse their backing arrays, so
 // Schedule/dispatch cost no allocations once the tiers have grown to the
 // run's high-water mark.
 package sim
@@ -43,7 +44,7 @@ type Time = float64
 // to use at time 0.
 type Engine struct {
 	now     Time
-	queue   ladderQueue
+	queue   eventQueue
 	seq     uint64
 	stepped uint64 // events executed, for diagnostics and runaway guards
 	limit   uint64 // optional max events (0 = unlimited)

@@ -20,11 +20,13 @@ func BenchmarkSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleSkewed interleaves near and far deadlines so the heap
-// holds a standing population of far events while near ones churn through —
-// the shape a busy multi-library simulation produces (imminent transfers
-// mixed with distant switch completions). Sift depth and cache behavior
-// differ markedly from the FIFO-ish pattern of BenchmarkSchedule.
+// BenchmarkScheduleSkewed interleaves near and far deadlines so up to 256
+// events stand pending — far past the near tier's 64, so the far half
+// spills to the heap while near events churn through the sorted tier.
+// Imminent transfers mixed with distant switch completions have this
+// shape, although no exhibit or workload holds more than 39 events. Sift
+// depth and cache behavior differ markedly from the FIFO-ish pattern of
+// BenchmarkSchedule.
 func BenchmarkScheduleSkewed(b *testing.B) {
 	eng := NewEngine()
 	fn := func() {}
@@ -34,7 +36,7 @@ func BenchmarkScheduleSkewed(b *testing.B) {
 		eng.Schedule(delays[i%len(delays)], fn)
 		if i%256 == 255 {
 			// Drain everything scheduled so far (max delay < 4000) so the
-			// heap's high-water mark stays bounded and steady state is
+			// queue's high-water mark stays bounded and steady state is
 			// allocation-free.
 			eng.RunUntil(eng.Now() + 4000)
 		}
@@ -42,12 +44,12 @@ func BenchmarkScheduleSkewed(b *testing.B) {
 	eng.Run()
 }
 
-// BenchmarkScheduleChurn keeps a standing population migrating between the
-// ladder's tiers: every op schedules a near event (sorted-bottom churn) and
-// a far event (rung/top population), then drains one event, so far events
-// continually migrate top → rung → bottom while near ones cut through the
-// cursor. This is the rung-refill stress the skewed benchmark's periodic
-// full drains do not produce; tracked as engine-schedule-churn.
+// BenchmarkScheduleChurn keeps a standing far-future population in the
+// heap while near events churn through the sorted tier: every op schedules
+// a near event and a far event, and periodic partial drains pop near
+// events through the cursor and pull far ones out of the heap root. This
+// is the standing-heap stress the skewed benchmark's periodic full drains
+// do not produce; tracked as engine-schedule-churn.
 func BenchmarkScheduleChurn(b *testing.B) {
 	eng := NewEngine()
 	fn := func() {}
@@ -57,12 +59,12 @@ func BenchmarkScheduleChurn(b *testing.B) {
 		eng.Schedule(float64(i%13)*0.25, fn)
 		eng.Schedule(far[i%len(far)], fn)
 		if i%64 == 63 {
-			// Drain the near tier; far events stay standing in the rungs.
+			// Drain the near events; far events stay standing in the heap.
 			eng.RunUntil(eng.Now() + 30)
 		}
 		if i%1024 == 1023 {
-			// Advance deep enough to pull standing rungs through refill
-			// (all but the quarter-million-second stragglers).
+			// Advance deep enough to pop most standing far events (all but
+			// the quarter-million-second stragglers).
 			eng.RunUntil(eng.Now() + 100000)
 		}
 	}
@@ -92,12 +94,12 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestScheduleSteadyStateAllocsLadder pins the allocation contract at the
-// ladder queue's structural high-water mark: a standing far-future
-// population large enough to have built rungs (and split the bottom) plus
-// near-future churn through the sorted tier and the cursor fast path. Once
-// every tier's arrays have grown, Schedule plus dispatch allocate nothing.
-func TestScheduleSteadyStateAllocsLadder(t *testing.T) {
+// TestScheduleSteadyStateAllocsSpill pins the allocation contract at the
+// queue's spill high-water mark: a standing far-future population large
+// enough to have spilled to the heap, plus near-future churn through the
+// sorted tier and the cursor fast path. Once both tiers' arrays have grown,
+// Schedule plus dispatch allocate nothing.
+func TestScheduleSteadyStateAllocsSpill(t *testing.T) {
 	eng := NewEngine()
 	fn := func() {}
 	delays := [...]float64{0, 0.001, 1800, 0.01, 700, 0.1, 2400, 1, 300, 90000}
@@ -108,20 +110,20 @@ func TestScheduleSteadyStateAllocsLadder(t *testing.T) {
 				eng.RunUntil(eng.Now() + 4000) // drain near, keep far standing
 			}
 		}
-		eng.RunUntil(eng.Now() + 200000) // drain through the rungs and top
+		eng.RunUntil(eng.Now() + 200000) // drain the far events out of the heap
 	}
-	churn() // grow every tier to its high-water mark
+	churn() // grow both tiers to their high-water marks
 	if allocs := testing.AllocsPerRun(20, churn); allocs != 0 {
-		t.Fatalf("ladder steady state allocates %.1f per run, want 0", allocs)
+		t.Fatalf("spill steady state allocates %.1f per run, want 0", allocs)
 	}
 }
 
-// TestRungGrowthAllocBudget puts an explicit budget on first-contact rung
-// growth: draining a fresh far-future population through tiers that have
-// never grown may allocate (rung structs, bucket arrays, tier backing), but
-// within a fixed budget — and a second pass over recycled rungs must
-// allocate nothing.
-func TestRungGrowthAllocBudget(t *testing.T) {
+// TestSpillGrowthAllocBudget puts an explicit budget on first-contact
+// spill growth: draining a fresh far-future population through tiers that
+// have never grown may allocate (the near tier's and the heap's backing
+// arrays), but within a fixed budget — and a second pass over the grown
+// arrays must allocate nothing.
+func TestSpillGrowthAllocBudget(t *testing.T) {
 	eng := NewEngine()
 	fn := func() {}
 	r := rand.New(rand.NewSource(1))
@@ -131,16 +133,15 @@ func TestRungGrowthAllocBudget(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(1, func() { fill(); eng.Run() })
-	// One rung is 32 bucket slices plus the rung struct and pool/tier
-	// bookkeeping; a few levels may spawn while the population drains.
-	// 256 bounds the whole first-growth transient with slack for the
-	// testing harness itself, while still catching a per-event leak (600
-	// events would show up as ≥ 600).
+	// Both tiers grow by doubling, a few dozen allocations at most. 256
+	// bounds the whole first-growth transient with slack for the testing
+	// harness itself, while still catching a per-event leak (600 events
+	// would show up as ≥ 600).
 	if allocs > 256 {
-		t.Fatalf("first-contact rung growth allocates %.1f, budget 256", allocs)
+		t.Fatalf("first-contact spill growth allocates %.1f, budget 256", allocs)
 	}
 	if allocs := testing.AllocsPerRun(20, func() { fill(); eng.Run() }); allocs != 0 {
-		t.Fatalf("recycled rungs allocate %.1f per run, want 0", allocs)
+		t.Fatalf("grown tiers allocate %.1f per run, want 0", allocs)
 	}
 }
 

@@ -1,46 +1,27 @@
 package sim
 
-import (
-	"math"
-	"slices"
-)
-
-// The event queue is a ladder queue (after Tang & Wainer): a sorted
-// near-future tier ("bottom") consumed by a cursor, one or more lazily
-// sorted far-future rungs of equal-width buckets keyed on the event time,
-// an unsorted far-future tier ("top"), and the previous 4-ary min-heap as a
-// fallback for structural overflow. The common operations are O(1): a push
-// lands in an unsorted bucket or appends to the sorted tier's tail, and a
-// pop takes the bottom cursor's next slot; sorting happens one bucket at a
-// time, only when the bottom drains into that bucket's time range.
+// The event queue has two tiers: a sorted near tier consumed by a cursor,
+// and a 4-ary min-heap for overflow. The simulator serves one request at a
+// time, so its pending set is bounded by the devices (drives, robots, fault
+// and timeout timers); a full-scale exhibit sweep never holds more than 40
+// events, so in practice every event lives in the near tier. There a push
+// appends to the sorted tail (monotone schedules, same-instant bursts) or
+// binary-searches its slot, and a pop advances the cursor. Only a
+// population past nearCap spills its far half to the heap.
 //
 // Determinism is structural, not incidental: seq is unique, so (at, seq) is
-// a total order and any correct min-queue — heap, ladder, or otherwise —
-// yields the identical pop sequence (locked by TestLadderMatchesHeapOrder).
-// The tiers partition future time contiguously,
+// a total order and any correct min-queue yields the identical pop sequence
+// (locked by TestQueueMatchesHeapOrder). While the heap holds events, the
+// tiers partition future time at lim,
 //
-//	[ .. bottomLim ) → bottom   [ rung coverage.. ) → rungs   [ .. ∞ ) → top
+//	[ .. lim ) → near tier   [ lim .. ) → heap
 //
-// so routing an event is a comparison walk, and bucket membership is
-// verified against the multiplication-form boundaries (place) so floating-
-// point division on the boundary of a bucket can never file an event into a
-// range the pop cursor has already passed.
+// so pop takes the near cursor whenever the near tier has events and the
+// heap root otherwise, without comparing the two.
 
-const (
-	// ladderBuckets is the bucket count per rung; a power of two keeps the
-	// per-rung footprint predictable.
-	ladderBuckets = 32
-	// spawnThreshold is the bucket population above which a refill
-	// subdivides the bucket into a child rung instead of sorting it.
-	spawnThreshold = 48
-	// bottomCap bounds the sorted tier while the far-future tiers are
-	// empty: a fresh burst that outgrows it is split, keeping sorted
-	// inserts cheap (the tail moves to the unsorted top in one pass).
-	bottomCap = 64
-	// maxRungs bounds the subdivision depth; a bucket that would exceed it
-	// falls back to the 4-ary heap.
-	maxRungs = 6
-)
+// nearCap bounds the sorted near tier: a push that grows it past nearCap
+// spills the far half to the heap, keeping sorted inserts cheap.
+const nearCap = 64
 
 // event is one pending continuation. The engine's sequence number and the
 // continuation's stage tag share one word — key = seq<<8 | tag — which
@@ -64,159 +45,55 @@ func (e *event) before(o *event) bool {
 	return e.key < o.key
 }
 
-// cmpEvent is the (at, seq) total order as a sort comparator.
-func cmpEvent(a, b event) int {
-	if a.at != b.at {
-		if a.at < b.at {
-			return -1
-		}
-		return 1
-	}
-	if a.key < b.key {
-		return -1
-	}
-	return 1 // seq is unique, equality cannot happen
-}
-
-// rung is one lazily-sorted ladder tier: ladderBuckets equal-width buckets
-// of unsorted events covering [origin, end). cur is the first unconsumed
-// bucket; the refill path has already drained everything below it.
-type rung struct {
-	origin  Time
-	end     Time
-	width   Time
-	cur     int
-	count   int
-	buckets [ladderBuckets][]event
-}
-
-// curStart returns the lower bound of the first unconsumed bucket, in the
-// same multiplication form place uses, so routing and binning agree.
-func (r *rung) curStart() Time { return r.origin + Time(r.cur)*r.width }
-
-// bucketEnd returns bucket i's exclusive upper bound. The last bucket ends
-// at the rung's explicit end, which may exceed origin+ladderBuckets·width
-// (clamped binning files boundary events there).
-func (r *rung) bucketEnd(i int) Time {
-	if i == ladderBuckets-1 {
-		return r.end
-	}
-	return r.origin + Time(i+1)*r.width
-}
-
-// place files an event into its bucket. The division gives the candidate
-// index; the two adjustment loops verify it against the multiplication-form
-// boundaries, so an event exactly on a bucket edge lands consistently with
-// curStart/bucketEnd no matter how the division rounded. low is the
-// smallest admissible index (the consumption cursor for live inserts, 0
-// when populating a fresh rung).
-func (r *rung) place(e event, low int) {
-	idx := int((e.at - r.origin) / r.width)
-	if idx < low {
-		idx = low
-	}
-	if idx > ladderBuckets-1 {
-		idx = ladderBuckets - 1
-	}
-	for idx > low && e.at < r.origin+Time(idx)*r.width {
-		idx--
-	}
-	for idx < ladderBuckets-1 && e.at >= r.origin+Time(idx+1)*r.width {
-		idx++
-	}
-	r.buckets[idx] = append(r.buckets[idx], e)
-	r.count++
-}
-
-// ladderQueue is the engine's pending-event container. The zero value is
-// ready to use; all tiers keep their backing arrays across pops and Reset,
+// eventQueue is the engine's pending-event container. The zero value is
+// ready to use; both tiers keep their backing arrays across pops and reset,
 // so steady-state operation at or below the high-water mark allocates
 // nothing.
-type ladderQueue struct {
-	size int // events queued across all tiers
+type eventQueue struct {
+	size int // events queued across both tiers
 
-	// bottom is the sorted near-future tier, ascending by (at, seq),
-	// consumed at bhead. It holds every queued event with at < bottomLim;
-	// bottomLim is +Inf when the rungs and top are empty (then bottom is
-	// the whole queue).
-	bottom    []event
-	bhead     int
-	bottomLim Time
-	primed    bool // bottomLim initialized to +Inf
+	// near is the sorted near tier, ascending by (at, seq), consumed at
+	// head. While the heap is empty it is the whole queue; otherwise it
+	// holds exactly the queued events with at < lim.
+	near []event
+	head int
+	lim  Time
 
-	// rungs are ordered by coverage, earliest first; rungs[0] is being
-	// consumed. Children spawned by subdividing a bucket are pushed on the
-	// front. Retired rungs park in rungPool so their bucket arrays are
-	// reused.
-	rungs    []*rung
-	rungPool []*rung
-
-	// top is the unsorted far-future tier: everything past the last rung's
-	// coverage. topMin/topMax (valid while top is non-empty) size the rung
-	// it is scattered into when the nearer tiers drain.
-	top    []event
-	topMin Time
-	topMax Time
-
-	// heap is the 4-ary fallback: it absorbs buckets that are too popular
-	// to sort but too narrow (or too deep) to subdivide — equal-time
-	// bursts, pathological clustering. Pop compares its minimum against
-	// the bottom cursor, so fallback events interleave correctly.
+	// heap holds every queued event at or after lim.
 	heap eventHeap
 }
 
-// push files an event by time tier.
-func (q *ladderQueue) push(e event) {
-	if !q.primed {
-		q.primed = true
-		q.bottomLim = math.Inf(1)
-	}
+// push files an event by tier.
+func (q *eventQueue) push(e event) {
 	q.size++
-	if e.at < q.bottomLim {
-		q.pushBottom(e)
+	if q.heap.len() > 0 && e.at >= q.lim {
+		q.heap.push(e)
 		return
 	}
-	for _, r := range q.rungs {
-		if e.at < r.end {
-			r.place(e, r.cur)
-			return
-		}
-	}
-	if len(q.top) == 0 {
-		q.topMin, q.topMax = e.at, e.at
-	} else if e.at < q.topMin {
-		q.topMin = e.at
-	} else if e.at > q.topMax {
-		q.topMax = e.at
-	}
-	q.top = append(q.top, e)
-}
-
-// pushBottom inserts into the sorted tier. The tail append covers monotone
-// schedules and same-instant bursts (a new event always has the largest
-// seq); everything else binary-searches bottom[bhead:] (insertBottom).
-func (q *ladderQueue) pushBottom(e event) {
-	b := q.bottom
-	if n := len(b); n == q.bhead || b[n-1].before(&e) {
-		q.bottom = append(b, e)
+	// The tail append covers monotone schedules and same-instant bursts (a
+	// new event always has the largest seq); everything else
+	// binary-searches near[head:] (insertNear).
+	b := q.near
+	if n := len(b); n == q.head || b[n-1].before(&e) {
+		q.near = append(b, e)
 	} else {
-		q.insertBottom(e)
+		q.insertNear(e)
 	}
-	if len(q.bottom)-q.bhead > bottomCap && math.IsInf(q.bottomLim, 1) {
-		q.splitBottom()
+	if len(q.near)-q.head > nearCap {
+		q.spill()
 	}
 }
 
-// insertBottom is pushBottom's out-of-order path: binary-search the sorted
-// tier, then shift whichever side of the insertion point is shorter. Pops
-// leave zeroed slots behind the cursor, so when the head side is shorter —
-// in particular for an Immediately event, which lands exactly at the
-// cursor — the head half slides one slot left into reclaimed space: the
+// insertNear is push's out-of-order path: binary-search the sorted tier,
+// then shift whichever side of the insertion point is shorter. Pops leave
+// zeroed slots behind the cursor, so when the head side is shorter — in
+// particular for an Immediately event, which lands exactly at the cursor —
+// the head half slides one slot left into reclaimed space: the
 // grant-dispatch pattern (schedule at now, fire, repeat) costs O(1) instead
 // of shifting the whole pending tail on every push.
-func (q *ladderQueue) insertBottom(e event) {
-	b := q.bottom
-	lo, hi := q.bhead, len(b)
+func (q *eventQueue) insertNear(e event) {
+	b := q.near
+	lo, hi := q.head, len(b)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if b[mid].before(&e) {
@@ -225,278 +102,96 @@ func (q *ladderQueue) insertBottom(e event) {
 			hi = mid
 		}
 	}
-	if h := q.bhead; h > 0 && lo-h <= len(b)-lo {
+	if h := q.head; h > 0 && lo-h <= len(b)-lo {
 		copy(b[h-1:lo-1], b[h:lo])
 		b[lo-1] = e
-		q.bhead = h - 1
+		q.head = h - 1
 		return
 	}
 	b = append(b, event{})
 	copy(b[lo+1:], b[lo:])
 	b[lo] = e
-	q.bottom = b
+	q.near = b
 }
 
-// splitBottom caps a fresh burst: while bottom is the whole queue, move its
-// far half to the unsorted top so further inserts stop paying the sorted-
-// insert memmove. The cut must sit on an at boundary (equal-time events
-// stay together with their tier); a single-instant bottom is left alone —
-// its inserts are tail appends anyway.
-func (q *ladderQueue) splitBottom() {
-	s := q.bottom[q.bhead:]
+// spill moves the near tier's far half to the heap and lowers lim to the
+// first moved instant. The cut sits on an at boundary, so equal-time
+// events stay in one tier; a near tier that holds a single instant has no
+// such boundary and stays where it is (its inserts are tail appends).
+func (q *eventQueue) spill() {
+	s := q.near[q.head:]
+	if s[0].at == s[len(s)-1].at {
+		return
+	}
 	cut := len(s) / 2
 	for cut < len(s) && s[cut].at == s[cut-1].at {
 		cut++
 	}
 	if cut == len(s) {
-		for cut = len(s) / 2; cut > 1 && s[cut].at == s[cut-1].at; cut-- {
-		}
-		if s[cut].at == s[cut-1].at {
-			return
+		for cut = len(s) / 2; s[cut].at == s[cut-1].at; cut-- {
 		}
 	}
-	moved := s[cut:]
-	q.top = append(q.top[:0], moved...)
-	q.topMin = moved[0].at
-	q.topMax = moved[len(moved)-1].at
-	q.bottomLim = moved[0].at
-	for i := range moved {
-		moved[i] = event{}
+	q.lim = s[cut].at
+	for i := cut; i < len(s); i++ {
+		q.heap.push(s[i])
+		s[i] = event{}
 	}
-	q.bottom = q.bottom[:q.bhead+cut]
-}
-
-// settle restores the pop invariant — the globally minimal event is at the
-// bottom cursor or the fallback heap's root — by refilling the bottom from
-// the rungs and top until it has an event or only the heap remains. The
-// wrapper is a single compare so the common (bottom occupied) case inlines
-// into pop and minAt.
-func (q *ladderQueue) settle() {
-	if q.bhead >= len(q.bottom) {
-		q.refill()
-	}
-}
-
-// refill is settle's slow path.
-func (q *ladderQueue) refill() {
-	for q.bhead >= len(q.bottom) {
-		q.bhead = 0
-		q.bottom = q.bottom[:0]
-		if len(q.rungs) > 0 {
-			q.refillFromRung()
-			continue
-		}
-		if len(q.top) > 0 {
-			q.scatterTop()
-			continue
-		}
-		q.bottomLim = math.Inf(1)
-		return
-	}
-}
-
-// refillFromRung advances the first rung one step: retire it if exhausted,
-// subdivide or spill an oversized bucket, or sort the next bucket into the
-// bottom. settle loops until the bottom has an event.
-func (q *ladderQueue) refillFromRung() {
-	r := q.rungs[0]
-	for r.cur < ladderBuckets && len(r.buckets[r.cur]) == 0 {
-		r.cur++
-	}
-	if r.cur == ladderBuckets {
-		q.retireRung()
-		if len(q.rungs) > 0 {
-			q.bottomLim = q.rungs[0].curStart()
-		}
-		return
-	}
-	b := r.buckets[r.cur]
-	bs, be := r.curStart(), r.bucketEnd(r.cur)
-	if len(b) > spawnThreshold {
-		if len(q.rungs) < maxRungs && bs+(be-bs)/ladderBuckets > bs {
-			// Subdivide: the bucket becomes a child rung consumed before
-			// the remainder of this one.
-			child := q.newRung()
-			child.origin, child.end = bs, be
-			child.width = (be - bs) / ladderBuckets
-			for i := range b {
-				child.place(b[i], 0)
-				b[i] = event{}
-			}
-			r.count -= child.count
-			r.buckets[r.cur] = b[:0]
-			r.cur++
-			q.rungs = append(q.rungs, nil)
-			copy(q.rungs[1:], q.rungs)
-			q.rungs[0] = child
-			q.bottomLim = bs
-			return
-		}
-		// Too deep or too narrow to subdivide (an equal-time burst has
-		// zero usable width): overflow to the 4-ary heap.
-		for i := range b {
-			q.heap.push(b[i])
-			b[i] = event{}
-		}
-		r.count -= len(b)
-		r.buckets[r.cur] = b[:0]
-		r.cur++
-		q.bottomLim = be
-		return
-	}
-	q.bottom = append(q.bottom, b...)
-	slices.SortFunc(q.bottom, cmpEvent)
-	for i := range b {
-		b[i] = event{}
-	}
-	r.count -= len(b)
-	r.buckets[r.cur] = b[:0]
-	r.cur++
-	q.bottomLim = be
-}
-
-// scatterTop turns the unsorted far-future tier into a fresh rung sized to
-// its time span. A (near-)zero span cannot be bucketed — the whole tier is
-// one instant — so it sorts straight into the bottom.
-func (q *ladderQueue) scatterTop() {
-	width := (q.topMax - q.topMin) / ladderBuckets
-	if !(q.topMin+width > q.topMin) {
-		q.bottom = append(q.bottom, q.top...)
-		slices.SortFunc(q.bottom, cmpEvent)
-		for i := range q.top {
-			q.top[i] = event{}
-		}
-		q.top = q.top[:0]
-		q.bottomLim = math.Inf(1)
-		return
-	}
-	r := q.newRung()
-	r.origin = q.topMin
-	r.width = width
-	r.end = q.topMax + width // strictly past topMax, so every event fits
-	for i := range q.top {
-		r.place(q.top[i], 0)
-		q.top[i] = event{}
-	}
-	q.top = q.top[:0]
-	q.rungs = append(q.rungs, nil)
-	copy(q.rungs[1:], q.rungs)
-	q.rungs[0] = r
-	q.bottomLim = r.origin
-}
-
-// newRung takes a rung from the pool or allocates one (only until the
-// run's high-water depth is reached).
-func (q *ladderQueue) newRung() *rung {
-	if n := len(q.rungPool); n > 0 {
-		r := q.rungPool[n-1]
-		q.rungPool[n-1] = nil
-		q.rungPool = q.rungPool[:n-1]
-		return r
-	}
-	return &rung{}
-}
-
-// retireRung parks the exhausted first rung in the pool, keeping its bucket
-// arrays for reuse.
-func (q *ladderQueue) retireRung() {
-	r := q.rungs[0]
-	copy(q.rungs, q.rungs[1:])
-	q.rungs[len(q.rungs)-1] = nil
-	q.rungs = q.rungs[:len(q.rungs)-1]
-	r.cur, r.count = 0, 0
-	r.origin, r.end, r.width = 0, 0, 0
-	q.rungPool = append(q.rungPool, r)
+	q.near = q.near[:q.head+cut]
 }
 
 // pop removes and returns the minimum event under (at, seq). The vacated
 // slot is zeroed so the popped continuation (and everything it references)
-// becomes collectible immediately.
-func (q *ladderQueue) pop() event {
-	q.settle()
-	if q.heap.len() > 0 &&
-		(q.bhead >= len(q.bottom) || q.heap.ev[0].before(&q.bottom[q.bhead])) {
-		e := q.heap.pop()
-		if q.size--; q.size == 0 {
-			q.rest()
+// becomes collectible immediately. Whenever the near tier is left empty
+// while the heap holds events, lim moves up to the heap's minimum, so
+// near-future pushes return to the sorted tier.
+func (q *eventQueue) pop() event {
+	q.size--
+	var e event
+	if q.head < len(q.near) {
+		e = q.near[q.head]
+		q.near[q.head] = event{}
+		q.head++
+		if q.head < len(q.near) {
+			return e
 		}
-		return e
+		q.near = q.near[:0] // slots were zeroed as they were consumed
+		q.head = 0
+	} else {
+		e = q.heap.pop()
 	}
-	e := q.bottom[q.bhead]
-	q.bottom[q.bhead] = event{}
-	q.bhead++
-	if q.size--; q.size == 0 {
-		q.rest()
+	if q.heap.len() > 0 {
+		q.lim = q.heap.ev[0].at
 	}
 	return e
 }
 
 // minAt returns the earliest queued event time without popping. The queue
 // must be non-empty.
-func (q *ladderQueue) minAt() Time {
-	q.settle()
-	m := math.Inf(1)
-	if q.bhead < len(q.bottom) {
-		m = q.bottom[q.bhead].at
+func (q *eventQueue) minAt() Time {
+	if q.head < len(q.near) {
+		return q.near[q.head].at
 	}
-	if q.heap.len() > 0 && q.heap.ev[0].at < m {
-		m = q.heap.ev[0].at
-	}
-	return m
-}
-
-// rest resets the tier boundaries when the queue fully drains, so the
-// next burst builds in the sorted bottom from scratch — the steady state of
-// a drain-between-requests workload stays rung-free and O(1) per event.
-func (q *ladderQueue) rest() {
-	q.bottom = q.bottom[:0] // slots were zeroed as they were consumed
-	q.bhead = 0
-	q.bottomLim = math.Inf(1)
-	for len(q.rungs) > 0 { // empty by count, retire for reuse
-		q.retireRung()
-	}
+	return q.heap.ev[0].at
 }
 
 // reset empties the queue, zeroing every occupied slot so pending
-// continuations are collectible, while keeping all backing arrays (bottom,
-// buckets, top, heap, rung pool) for reuse.
-func (q *ladderQueue) reset() {
-	for i := range q.bottom {
-		q.bottom[i] = event{}
+// continuations are collectible, while keeping both backing arrays for
+// reuse.
+func (q *eventQueue) reset() {
+	for i := range q.near {
+		q.near[i] = event{}
 	}
-	q.bottom = q.bottom[:0]
-	q.bhead = 0
-	for _, r := range q.rungs {
-		for i := range r.buckets {
-			b := r.buckets[i]
-			for j := range b {
-				b[j] = event{}
-			}
-			r.buckets[i] = b[:0]
-		}
-	}
-	for len(q.rungs) > 0 {
-		q.retireRung()
-	}
-	for i := range q.top {
-		q.top[i] = event{}
-	}
-	q.top = q.top[:0]
+	q.near = q.near[:0]
+	q.head = 0
 	q.heap.reset()
 	q.size = 0
-	q.primed = true
-	q.bottomLim = math.Inf(1)
 }
 
-// rungDepth returns the active rung count (diagnostics and tests).
-func (q *ladderQueue) rungDepth() int { return len(q.rungs) }
-
 // eventHeap is the concrete-typed 4-ary min-heap ordered by (at, seq) over
-// a reusable backing array — the previous generation's whole event queue,
-// retained as the ladder's overflow fallback. A 4-ary layout halves the
-// tree depth of a binary heap and keeps sibling comparisons within one or
-// two cache lines; seq is unique, so the order is total and independent of
-// heap shape.
+// a reusable backing array — an earlier generation's whole event queue,
+// now the queue's overflow tier. A 4-ary layout halves the tree depth of a
+// binary heap and keeps sibling comparisons within one or two cache lines;
+// seq is unique, so the order is total and independent of heap shape.
 type eventHeap struct {
 	ev []event
 }

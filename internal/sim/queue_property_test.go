@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -9,12 +8,12 @@ import (
 // This file pins the scheduler-determinism contract structurally: (at, seq)
 // is a total order, so ANY correct min-queue yields the identical pop
 // sequence regardless of internal shape. The reference implementation below
-// is a verbatim copy of the 4-ary heap the engine used before the ladder
+// is a verbatim copy of the 4-ary heap that was once the engine's whole
 // queue (event struct included), and the property test drives both through
 // randomized schedules — equal-time bursts, near/far mixes, zero-delay
 // storms, mid-stream reuse after reset — checking every pop agrees.
 
-// heapEvent is the pre-ladder event record, copied unchanged.
+// heapEvent is the heap-only engine's event record, copied unchanged.
 type heapEvent struct {
 	at  Time
 	seq uint64 // tie-break so equal-time events fire in schedule order
@@ -29,8 +28,8 @@ func (e *heapEvent) before(o *heapEvent) bool {
 	return e.seq < o.seq
 }
 
-// refQueue is the pre-ladder concrete-typed 4-ary min-heap, copied
-// unchanged (modulo renames) from the old engine.
+// refQueue is the heap-only engine's concrete-typed 4-ary min-heap,
+// copied unchanged (modulo renames).
 type refQueue struct {
 	ev []heapEvent
 }
@@ -107,7 +106,8 @@ var delayProfiles = []delayProfile{
 	// Tight near-future traffic: the drain-between-requests steady state.
 	{"near", func(r *rand.Rand) float64 { return r.Float64() * 10 }},
 	// Near/far mix: most events soon, a long tail far out — the shape that
-	// builds rungs and a top tier and forces refills across tiers.
+	// spills the far tail to the heap and moves lim as the near tier
+	// drains.
 	{"skewed", func(r *rand.Rand) float64 {
 		if r.Intn(4) == 0 {
 			return 1000 + r.Float64()*100000
@@ -122,37 +122,39 @@ var delayProfiles = []delayProfile{
 		}
 		return 0
 	}},
-	// Coarse quantized times: many exactly-equal instants landing in the
-	// same bucket, driving bucket overflow into child rungs and, for big
-	// enough bursts, the unsplittable-bucket heap fallback.
+	// Coarse quantized times: many exactly-equal instants, so every spill
+	// must find an at boundary to cut on.
 	{"quantized", func(r *rand.Rand) float64 { return float64(r.Intn(8)) * 2.5 }},
 }
 
-// TestLadderMatchesHeapOrder drives the ladder queue and the old 4-ary heap
-// through identical randomized push/pop schedules and requires bit-identical
-// pop order, including mid-stream reuse after reset.
-func TestLadderMatchesHeapOrder(t *testing.T) {
+// TestQueueMatchesHeapOrder drives the two-tier queue and the old 4-ary
+// heap through identical randomized push/pop schedules and requires
+// bit-identical pop order, including mid-stream reuse after reset. Every
+// profile holds hundreds of pending events, so spills and lim refreshes
+// run throughout.
+func TestQueueMatchesHeapOrder(t *testing.T) {
 	for _, prof := range delayProfiles {
 		t.Run(prof.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(20060815))
-			var lq ladderQueue
+			var q eventQueue
 			var ref refQueue
 			var seq uint64
 			now := Time(0) // last popped instant; pushes are never in the past
 			push := func(at Time) {
 				seq++
-				lq.push(event{at: at, key: seq << 8, op: funcOp(func() {})})
+				q.push(event{at: at, key: seq << 8, op: funcOp(func() {})})
 				ref.push(heapEvent{at: at, seq: seq})
 			}
 			popBoth := func() {
 				want := ref.pop()
-				got := lq.pop()
+				got := q.pop()
 				if got.at != want.at || got.key>>8 != want.seq {
-					t.Fatalf("pop mismatch: ladder (at=%v seq=%d), heap (at=%v seq=%d)",
+					t.Fatalf("pop mismatch: queue (at=%v seq=%d), heap (at=%v seq=%d)",
 						got.at, got.key>>8, want.at, want.seq)
 				}
 				now = want.at
 			}
+			sawHeap := false
 			for round := 0; round < 4; round++ {
 				for i := 0; i < 3000; i++ {
 					switch {
@@ -165,19 +167,20 @@ func TestLadderMatchesHeapOrder(t *testing.T) {
 					default:
 						popBoth()
 					}
-					if lq.size != ref.len() {
-						t.Fatalf("size mismatch: ladder %d, heap %d", lq.size, ref.len())
+					if q.size != ref.len() {
+						t.Fatalf("size mismatch: queue %d, heap %d", q.size, ref.len())
 					}
+					sawHeap = sawHeap || q.heap.len() > 0
 				}
 				// Drain half, then keep scheduling: pops interleaved with
-				// pushes move the bottom cursor mid-structure.
+				// pushes move the near cursor mid-structure.
 				for ref.len() > 1500 {
 					popBoth()
 				}
 				if round == 1 {
 					// Mid-stream reuse: both queues reset with events still
 					// pending, as Engine.Reset does between replays.
-					lq.reset()
+					q.reset()
 					ref.reset()
 					now = 0
 				}
@@ -185,69 +188,104 @@ func TestLadderMatchesHeapOrder(t *testing.T) {
 			for ref.len() > 0 {
 				popBoth()
 			}
-			if lq.size != 0 {
-				t.Fatal("ladder not empty after drain")
+			if q.size != 0 || q.heap.len() != 0 {
+				t.Fatal("queue not empty after drain")
+			}
+			if !sawHeap {
+				t.Error("schedule never spilled to the heap tier; spill coverage lost")
 			}
 		})
 	}
 }
 
-// TestLadderOverflowPaths forces the structural overflow routes — bottom
-// split, rung spawn, and the unsplittable equal-time burst that must fall
-// back to the 4-ary heap tier instead of recursing — and checks pop order
-// against the reference throughout.
-func TestLadderOverflowPaths(t *testing.T) {
-	var lq ladderQueue
+// TestQueueSpillPaths forces the spill routes — a burst past nearCap that
+// spills its far half to the heap, a second burst that spills again while
+// the heap already holds events, pops that drain the near tier and move
+// lim up to the heap's minimum, and an equal-time burst past nearCap that
+// has no at boundary to cut on and must stay in the near tier — and checks
+// pop order against the reference throughout.
+func TestQueueSpillPaths(t *testing.T) {
+	var q eventQueue
 	var ref refQueue
 	var seq uint64
+	now := Time(0)
 	push := func(at Time) {
 		seq++
-		lq.push(event{at: at, key: seq << 8, op: funcOp(func() {})})
+		q.push(event{at: at, key: seq << 8, op: funcOp(func() {})})
 		ref.push(heapEvent{at: at, seq: seq})
 	}
 	popBoth := func() {
 		want := ref.pop()
-		got := lq.pop()
+		got := q.pop()
 		if got.at != want.at || got.key>>8 != want.seq {
-			t.Fatalf("pop mismatch: ladder (at=%v seq=%d), heap (at=%v seq=%d)",
+			t.Fatalf("pop mismatch: queue (at=%v seq=%d), heap (at=%v seq=%d)",
 				got.at, got.key>>8, want.at, want.seq)
 		}
+		now = want.at
 	}
-	// A fresh burst beyond bottomCap triggers splitBottom; draining half of
-	// it forces refills from the split-off top, leaving a finite bottomLim.
+	nearLen := func() int { return len(q.near) - q.head }
+
+	// Bursts of distinct times past nearCap spill their far half, the
+	// second one while the heap already holds the first one's.
 	r := rand.New(rand.NewSource(7))
-	for i := 0; i < 300; i++ {
-		push(Time(r.Float64() * 1000))
+	for burst := 0; burst < 2; burst++ {
+		for i := 0; i < 300; i++ {
+			push(Time(r.Float64() * 1000))
+		}
+		if q.heap.len() == 0 || nearLen() > nearCap {
+			t.Fatalf("burst %d: near tier %d, heap %d; want at most %d near and a non-empty heap",
+				burst, nearLen(), q.heap.len(), nearCap)
+		}
 	}
-	for i := 0; i < 150; i++ {
-		popBoth()
+	if q.size != ref.len() {
+		t.Fatalf("size mismatch: queue %d, heap %d", q.size, ref.len())
 	}
-	// An equal-time burst far beyond spawnThreshold cannot be subdivided by
-	// time: no rung width separates its events, so it must reach the heap.
-	for i := 0; i < 4*spawnThreshold; i++ {
-		push(1e9)
+
+	// Draining the near tier moves lim up to the heap's minimum, and a push
+	// below the new lim returns to the near tier.
+	refreshes := 0
+	for q.heap.len() > 0 {
+		for nearLen() > 0 {
+			popBoth()
+		}
+		if q.heap.len() == 0 {
+			break
+		}
+		if q.lim != q.heap.ev[0].at {
+			t.Fatalf("near tier drained: lim %v, heap minimum %v", q.lim, q.heap.ev[0].at)
+		}
+		if at := now + (q.lim-now)/2; at < q.lim {
+			heapLen := q.heap.len()
+			push(at)
+			if q.heap.len() != heapLen || nearLen() != 1 {
+				t.Fatalf("push below lim went to the heap (near %d, heap %d→%d)",
+					nearLen(), heapLen, q.heap.len())
+			}
+			refreshes++
+			popBoth()
+		}
+		popBoth() // the heap root
 	}
-	// Clustered times over a huge range exercise rung spawning at depth.
-	for i := 0; i < 2000; i++ {
-		base := math.Ldexp(1, 11+r.Intn(29)) // cluster scales, 2^11..2^39
-		push(Time(base) + Time(r.Float64()))
-	}
-	if lq.size != ref.len() {
-		t.Fatalf("size mismatch: ladder %d, heap %d", lq.size, ref.len())
-	}
-	sawHeap, sawRung := false, false
 	for ref.len() > 0 {
 		popBoth()
-		sawHeap = sawHeap || lq.heap.len() > 0
-		sawRung = sawRung || len(lq.rungs) > 0
 	}
-	if lq.size != 0 || lq.heap.len() != 0 {
-		t.Fatal("ladder not empty after drain")
+	if refreshes == 0 {
+		t.Error("pops never crossed a lim refresh; refresh coverage lost")
 	}
-	if !sawRung {
-		t.Error("schedule never built a rung; overflow coverage lost")
+
+	// An equal-time burst past nearCap has no at boundary to cut on: it
+	// stays in the near tier and still pops in seq order.
+	for i := 0; i < 4*nearCap; i++ {
+		push(now + 1)
 	}
-	if !sawHeap {
-		t.Error("equal-time burst never reached the heap tier; fallback coverage lost")
+	if q.heap.len() != 0 || nearLen() != 4*nearCap {
+		t.Fatalf("equal-time burst: near tier %d, heap %d; want %d near and an empty heap",
+			nearLen(), q.heap.len(), 4*nearCap)
+	}
+	for ref.len() > 0 {
+		popBoth()
+	}
+	if q.size != 0 || q.heap.len() != 0 || nearLen() != 0 {
+		t.Fatal("queue not empty after drain")
 	}
 }

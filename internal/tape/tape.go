@@ -239,7 +239,8 @@ func (l *Layout) Validate(capacity int64) error {
 	return nil
 }
 
-// ReadPlan is a seek-optimal read schedule for a set of extents on one tape.
+// ReadPlan is a read schedule for a set of extents on one tape: the cheaper
+// of PlanReads' two sweeps.
 type ReadPlan struct {
 	Order     []Extent // extents in service order
 	SeekTotal float64  // seconds of head positioning
@@ -247,11 +248,17 @@ type ReadPlan struct {
 	EndPos    int64    // head position after the last transfer
 }
 
-// PlanReads computes the minimal-seek order to read the given extents
-// starting from head position start. On a linear medium this is the
-// classic two-sweep problem: the optimal tour visits all targets on one
-// side first, then the other; we evaluate both sweep orders and keep the
-// cheaper. Reading an extent moves the head to its end.
+// PlanReads orders the given extents for reading from head position start.
+// Reading an extent moves the head to its end. It evaluates two sweeps —
+// the extents right of the head ascending and then the left ones
+// ascending, or everything ascending from the leftmost extent — and keeps
+// the cheaper.
+//
+// The result is the minimal-seek order when no extent lies left of the
+// head, as on a fresh mount at BOT: both sweeps are then the plain
+// ascending order. Otherwise it can seek more than the minimum. With the
+// head at 100 and extents [0,1), [98,99) and [101,102), the two sweeps
+// seek 200 and 199 bytes of tape, while the order 101 → 98 → 0 seeks 104.
 //
 // Transfers are accounted at the hardware streaming rate; the returned
 // totals are what the simulator charges the drive.

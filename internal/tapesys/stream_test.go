@@ -15,7 +15,7 @@ import (
 
 // streamTestWorkload builds a 4-library workload exercising mounted hits,
 // switches, and robot contention across all libraries.
-func streamTestWorkload(t *testing.T) (tape.Hardware, *model.Workload) {
+func streamTestWorkload(t testing.TB) (tape.Hardware, *model.Workload) {
 	t.Helper()
 	hw := tape.DefaultHardware()
 	hw.Libraries = 4

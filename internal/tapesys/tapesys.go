@@ -12,8 +12,10 @@
 //   - a tape switch is rewind → unload → robot store + fetch (robots are
 //     per-library and FIFO) → load + thread; the freshly loaded tape starts
 //     with its head at BOT;
-//   - reads within one tape follow the seek-optimal order for a linear
-//     medium (tape.PlanReads);
+//   - reads within one tape follow the cheaper of two sweeps over the
+//     tape (tape.PlanReads), which is the minimal-seek order whenever the
+//     head starts at or before every requested extent, as after a fresh
+//     mount;
 //   - the request response time is the latest drive finish time; the
 //     request's seek and transfer times are those of that last-finishing
 //     drive, and switch time is the remainder (§6 "Metrics").
