@@ -1,5 +1,5 @@
 # Developer entry points. `make check` is the verification gate run before
-# every commit: build + vet + race-enabled tests + the doc lints.
+# every commit: build + vet + gofmt + race-enabled tests + the doc lints.
 
 GO ?= go
 

@@ -23,10 +23,15 @@
 // calls through a scratch free list: object→request and request→atom
 // incidence as CSR index pairs, pairwise similarities as a sorted flat
 // entry slice aggregated by a single scan, and live-cluster adjacency as
-// spans into one arena that is compacted when merges strand too many dead
-// entries. docs/PERFORMANCE.md ("Placement pipeline") sketches the layout
-// and the argument for why every transformation reproduces the original
-// map-based results bit for bit.
+// sorted spans into one arena that is compacted when merges strand too many
+// dead entries. A merge never shifts a neighbor's span: the absorbed
+// cluster's entry stays in its sorted slot as a tombstone, an entry whose
+// key is a cluster that is no longer alive. Spans therefore stay sorted
+// with unique keys, every binary search for a live key stays exact, and
+// nothing looks a dead key up again; walks and compaction skip tombstones.
+// docs/PERFORMANCE.md ("Placement pipeline") sketches the layout and the
+// argument for why every transformation reproduces the original map-based
+// results bit for bit.
 package cluster
 
 import (
@@ -581,13 +586,15 @@ func (h *candHeap) pop() candidate {
 
 // liveCluster is one active cluster during agglomeration. Member atoms are
 // kept as an intrusive linked list through agg.atomNext (head/tail splice
-// on merge, no copying); neighbors are the arena span [adjOff, adjOff+adjLen).
+// on merge, no copying); neighbors are the arena span [adjOff, adjOff+adjLen),
+// which holds dead tombstones among its entries.
 type liveCluster struct {
 	objects  int64 // object count
 	bytes    int64
 	cohesion float64 // linkage value of the last merge
 	adjOff   int32
 	adjLen   int32
+	dead     int32
 	atomHead int32
 	atomTail int32
 	version  int32
@@ -609,6 +616,9 @@ type agg struct {
 	live     int // live entries in the arena (for the compaction trigger)
 	heap     *candHeap
 }
+
+// degree returns c's live neighbor count: its span minus the tombstones.
+func (c *liveCluster) degree() int { return int(c.adjLen - c.dead) }
 
 func (g *agg) find(x int32) int32 {
 	for g.parent[x] != x {
@@ -707,24 +717,21 @@ func (g *agg) renameNbr(k, old, new int32, li linkInfo) {
 }
 
 // mergeNbr collapses k's entries for the merging pair (a absorbs b): a's
-// entry takes the merged aggregate li and b's entry is removed, shrinking
-// k's span by one.
+// entry takes the merged aggregate li and b's entry, already dead, stays in
+// its sorted slot as one more tombstone of k's span.
 func (g *agg) mergeNbr(k, a, b int32, li linkInfo) {
 	cl := &g.clusters[k]
-	off, n := int(cl.adjOff), int(cl.adjLen)
-	keys := g.nbrs[off : off+n]
-	lis := g.links[off : off+n]
-	lis[findKey(keys, a)] = li
-	pb := findKey(keys, b)
-	copy(keys[pb:], keys[pb+1:])
-	copy(lis[pb:], lis[pb+1:])
-	cl.adjLen--
+	off := int(cl.adjOff)
+	g.links[off+findKey(g.nbrs[off:off+int(cl.adjLen)], a)] = li
+	cl.dead++
 	g.live--
 }
 
 // ensure guarantees capacity for need appended entries without moving the
-// arena backing mid-merge. When at least half the arena is dead it compacts
-// live spans into the spare buffer (swapping the two), otherwise it grows.
+// arena backing mid-merge. When at least half the arena is dead (tombstones
+// and the spans merges left behind) it compacts the live entries of live
+// spans into the spare buffer (swapping the two), otherwise it grows.
+// Compaction leaves every span without tombstones.
 func (g *agg) ensure(need int) {
 	if len(g.nbrs)+need <= cap(g.nbrs) {
 		return
@@ -742,9 +749,20 @@ func (g *agg) ensure(need int) {
 				continue
 			}
 			off := int32(len(dstN))
-			dstN = append(dstN, g.nbrs[c.adjOff:c.adjOff+c.adjLen]...)
-			dstL = append(dstL, g.links[c.adjOff:c.adjOff+c.adjLen]...)
+			if c.dead == 0 {
+				dstN = append(dstN, g.nbrs[c.adjOff:c.adjOff+c.adjLen]...)
+				dstL = append(dstL, g.links[c.adjOff:c.adjOff+c.adjLen]...)
+			} else {
+				for j := c.adjOff; j < c.adjOff+c.adjLen; j++ {
+					if g.clusters[g.nbrs[j]].alive {
+						dstN = append(dstN, g.nbrs[j])
+						dstL = append(dstL, g.links[j])
+					}
+				}
+				c.dead = 0
+			}
 			c.adjOff = off
+			c.adjLen = int32(len(dstN)) - off
 		}
 		oldN, oldL := g.nbrs, g.links
 		g.nbrs, g.links = dstN, dstL
@@ -763,15 +781,16 @@ func (g *agg) ensure(need int) {
 // union merges cluster b into a (a keeps its index), assuming a, b are live
 // roots and the caller already validated the merge. The new adjacency span
 // for a is written at the arena tail by a linear merge of a's and b's spans
-// in ascending neighbor order; for each neighbor taken from b's side the
+// in ascending neighbor order, skipping tombstones on both sides (b, dead
+// by then, is one of a's); for each neighbor taken from b's side the
 // reverse edge is retargeted and the refreshed pair proposed — the same
 // visit order, aggregate values, and heap pushes as the old map fold over
-// b's sorted keys.
+// b's sorted keys. a's rebuilt span holds no tombstones.
 func (g *agg) union(a, b int32, sim float64) {
 	ca, cb := &g.clusters[a], &g.clusters[b]
 	// Reserve arena room first: a compaction here still sees both spans as
 	// live and relocates them coherently before we capture them below.
-	g.ensure(int(ca.adjLen) + int(cb.adjLen))
+	g.ensure(ca.degree() + cb.degree())
 	g.parent[b] = a
 	ca.version++
 	g.atomNext[ca.atomTail] = cb.atomHead
@@ -791,29 +810,26 @@ func (g *agg) union(a, b int32, sim float64) {
 	kb := g.nbrs[cb.adjOff : cb.adjOff+cb.adjLen]
 	lb := g.links[cb.adjOff : cb.adjOff+cb.adjLen]
 	base := len(g.nbrs)
-	g.live -= len(ka) + len(kb)
+	g.live -= ca.degree() + cb.degree()
 	ia, ib := 0, 0
 	for ia < len(ka) && ib < len(kb) {
-		if ka[ia] == b {
+		if !g.clusters[ka[ia]].alive {
 			ia++
 			continue
 		}
-		if kb[ib] == a {
+		if kb[ib] == a || !g.clusters[kb[ib]].alive {
 			ib++
 			continue
 		}
 		switch {
 		case ka[ia] < kb[ib]:
 			// Run of a-only neighbors: aggregates unchanged and no side
-			// effects, so the whole run up to the next b-side key (or b's
-			// own entry, which must be skipped) is one bulk copy. a is the
-			// larger adjacency, so this is the common case.
+			// effects, so the whole run up to the next b-side key or
+			// tombstone is one bulk copy. a is the larger adjacency, so
+			// this is the common case.
 			lim := kb[ib]
-			if b > ka[ia] && b < lim {
-				lim = b
-			}
 			run := ia + 1
-			for run < len(ka) && ka[run] < lim {
+			for run < len(ka) && ka[run] < lim && g.clusters[ka[run]].alive {
 				run++
 			}
 			g.nbrs = append(g.nbrs, ka[ia:run]...)
@@ -844,24 +860,24 @@ func (g *agg) union(a, b int32, sim float64) {
 			ib++
 		}
 	}
-	// a's tail: one or two bulk copies around b's entry if it is still ahead.
-	if ia < len(ka) {
-		pb := len(ka)
-		if b >= ka[ia] {
-			pb = ia + lowerBound(ka[ia:], b)
+	// a's tail: bulk copies of the runs between tombstones.
+	for ia < len(ka) {
+		if !g.clusters[ka[ia]].alive {
+			ia++
+			continue
 		}
-		g.nbrs = append(g.nbrs, ka[ia:pb]...)
-		g.links = append(g.links, la[ia:pb]...)
-		g.live += pb - ia
-		if pb < len(ka) {
-			g.nbrs = append(g.nbrs, ka[pb+1:]...)
-			g.links = append(g.links, la[pb+1:]...)
-			g.live += len(ka) - pb - 1
+		run := ia + 1
+		for run < len(ka) && g.clusters[ka[run]].alive {
+			run++
 		}
+		g.nbrs = append(g.nbrs, ka[ia:run]...)
+		g.links = append(g.links, la[ia:run]...)
+		g.live += run - ia
+		ia = run
 	}
 	// b's tail: still needs the per-entry retarget and refresh.
 	for ; ib < len(kb); ib++ {
-		if kb[ib] == a {
+		if kb[ib] == a || !g.clusters[kb[ib]].alive {
 			continue
 		}
 		k, li := kb[ib], lb[ib]
@@ -873,7 +889,8 @@ func (g *agg) union(a, b int32, sim float64) {
 	}
 	ca.adjOff = int32(base)
 	ca.adjLen = int32(len(g.nbrs) - base)
-	cb.adjLen = 0
+	ca.dead = 0
+	cb.adjLen, cb.dead = 0, 0
 }
 
 func agglomerateInto(w *model.Workload, atoms []atom, cfg Config, s *scratch) []Cluster {
@@ -972,8 +989,10 @@ func agglomerateInto(w *model.Workload, atoms []atom, cfg Config, s *scratch) []
 			g.proposeLookup(a, b)
 			continue
 		}
-		// Merge the smaller adjacency into the larger.
-		if cb.adjLen > ca.adjLen {
+		// Merge the smaller adjacency into the larger, counting live
+		// neighbors: span lengths include tombstones, and comparing them
+		// would change which index survives.
+		if cb.degree() > ca.degree() {
 			a, b = b, a
 		}
 		g.union(a, b, c.sim)

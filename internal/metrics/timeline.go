@@ -89,7 +89,14 @@ func BuildTimeline(events []trace.Event) *Timeline {
 	type dk struct{ lib, drive int }
 	drives := make(map[dk]*DriveTimeline)
 	robots := make(map[int]*RobotTimeline)
-	queues := make(map[string]*QueueSeries)
+	// Each resource name's queue series sits beside the robot library
+	// parsed from that name, once per name rather than once per event
+	// (-1 for names that are not "robot-N").
+	type queue struct {
+		QueueSeries
+		lib int
+	}
+	queues := make(map[string]*queue)
 
 	driveOf := func(ev trace.Event) *DriveTimeline {
 		k := dk{ev.Lib, ev.Drive}
@@ -108,13 +115,17 @@ func BuildTimeline(events []trace.Event) *Timeline {
 		}
 		return r
 	}
-	sample := func(ev trace.Event) {
+	sample := func(ev trace.Event) *queue {
 		q := queues[ev.Name]
 		if q == nil {
-			q = &QueueSeries{Name: ev.Name}
+			q = &queue{QueueSeries: QueueSeries{Name: ev.Name}, lib: -1}
+			if n, ok := robotLibrary(ev.Name); ok {
+				q.lib = n
+			}
 			queues[ev.Name] = q
 		}
 		q.Samples = append(q.Samples, QueueSample{T: ev.T, Depth: ev.Queue})
+		return q
 	}
 
 	for _, ev := range events {
@@ -144,12 +155,7 @@ func BuildTimeline(events []trace.Event) *Timeline {
 		case trace.KindResourceWait, trace.KindResourceGrant, trace.KindResourceRelease:
 			// Robot arms are the only Resources in the simulator; key the
 			// aggregate by name and fold per-library stats below.
-			sample(ev)
-			lib := -1
-			if n, ok := robotLibrary(ev.Name); ok {
-				lib = n
-			}
-			if lib >= 0 {
+			if lib := sample(ev).lib; lib >= 0 {
 				r := robotOf(lib)
 				switch ev.Kind {
 				case trace.KindResourceWait:
@@ -188,7 +194,7 @@ func BuildTimeline(events []trace.Event) *Timeline {
 	}
 	slices.SortFunc(tl.Robots, func(a, b RobotTimeline) int { return a.Library - b.Library })
 	for _, q := range queues {
-		tl.Queues = append(tl.Queues, *q)
+		tl.Queues = append(tl.Queues, q.QueueSeries)
 	}
 	slices.SortFunc(tl.Queues, func(a, b QueueSeries) int { return strings.Compare(a.Name, b.Name) })
 	// Phase attribution is best-effort: a complete trace reconstructs into

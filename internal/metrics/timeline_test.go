@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -68,6 +69,56 @@ func TestBuildTimeline(t *testing.T) {
 	}
 	if len(tl.Queues) != 1 || tl.Queues[0].Name != "robot-0" || len(tl.Queues[0].Samples) != 4 {
 		t.Errorf("queues: %+v", tl.Queues)
+	}
+}
+
+// TestBuildTimelineTwoRobots feeds resource events from two robots and one
+// resource that is no robot, interleaved, so each name's library is
+// resolved once and must still route every event to its own row.
+func TestBuildTimelineTwoRobots(t *testing.T) {
+	res := func(t float64, kind trace.Kind, name string, queue int, dur float64) trace.Event {
+		return trace.Event{T: t, Kind: kind, Lib: -1, Drive: -1, Tape: -1, Req: -1, Queue: queue, Dur: dur, Name: name}
+	}
+	events := []trace.Event{
+		res(0, trace.KindResourceWait, "robot-1", 1, 0),
+		res(0, trace.KindResourceGrant, "robot-1", 0, 0),
+		res(1, trace.KindResourceWait, "robot-0", 2, 0),
+		res(1, trace.KindResourceWait, "gate", 7, 0),
+		res(1, trace.KindResourceGrant, "robot-0", 1, 0.5),
+		res(2, trace.KindResourceWait, "robot-1", 3, 0),
+		res(3, trace.KindResourceRelease, "robot-1", 0, 3),
+		res(3, trace.KindResourceGrant, "gate", 0, 2),
+		res(3, trace.KindResourceGrant, "robot-1", 0, 1),
+		res(4, trace.KindResourceRelease, "robot-0", 0, 3),
+		res(5, trace.KindResourceRelease, "robot-1", 0, 2),
+		res(5, trace.KindResourceRelease, "gate", 0, 2),
+	}
+	tl := BuildTimeline(events)
+	wantRobots := []RobotTimeline{
+		{Library: 0, Grants: 1, HoldSeconds: 3, WaitSeconds: 0.5, MaxQueue: 2},
+		{Library: 1, Grants: 2, HoldSeconds: 5, WaitSeconds: 1, MaxQueue: 3},
+	}
+	if len(tl.Robots) != len(wantRobots) {
+		t.Fatalf("robots = %+v, want %+v", tl.Robots, wantRobots)
+	}
+	for i, want := range wantRobots {
+		if tl.Robots[i] != want {
+			t.Errorf("robot row %d = %+v, want %+v", i, tl.Robots[i], want)
+		}
+	}
+	wantQueues := []QueueSeries{
+		{Name: "gate", Samples: []QueueSample{{1, 7}, {3, 0}, {5, 0}}},
+		{Name: "robot-0", Samples: []QueueSample{{1, 2}, {1, 1}, {4, 0}}},
+		{Name: "robot-1", Samples: []QueueSample{{0, 1}, {0, 0}, {2, 3}, {3, 0}, {3, 0}, {5, 0}}},
+	}
+	if len(tl.Queues) != len(wantQueues) {
+		t.Fatalf("queues = %+v, want %+v", tl.Queues, wantQueues)
+	}
+	for i, want := range wantQueues {
+		got := tl.Queues[i]
+		if got.Name != want.Name || !slices.Equal(got.Samples, want.Samples) {
+			t.Errorf("queue %d = %+v, want %+v", i, got, want)
+		}
 	}
 }
 

@@ -17,8 +17,9 @@ import (
 // JSONLWriter is a streaming Recorder writing one JSON object per event
 // per line. Close flushes; errors are sticky and surfaced by Close.
 type JSONLWriter struct {
-	w   *bufio.Writer
-	err error
+	w    *bufio.Writer
+	err  error
+	line []byte // reused encoding buffer, so Record does not allocate
 }
 
 // NewJSONLWriter wraps w in a buffered JSONL event sink.
@@ -31,9 +32,8 @@ func (j *JSONLWriter) Record(ev Event) {
 	if j.err != nil {
 		return
 	}
-	var b []byte
-	b = appendJSON(b, ev)
-	if _, err := j.w.Write(b); err != nil {
+	j.line = appendJSON(j.line[:0], ev)
+	if _, err := j.w.Write(j.line); err != nil {
 		j.err = err
 	}
 }
@@ -112,6 +112,7 @@ type CSVWriter struct {
 	w      *bufio.Writer
 	err    error
 	header bool
+	line   []byte // reused encoding buffer, so Record does not allocate
 }
 
 // NewCSVWriter wraps w in a buffered CSV event sink. The header row is
@@ -132,8 +133,7 @@ func (c *CSVWriter) Record(ev Event) {
 			return
 		}
 	}
-	var b []byte
-	b = appendFloat(b, ev.T)
+	b := appendFloat(c.line[:0], ev.T)
 	b = append(b, ',')
 	b = append(b, ev.Kind...)
 	b = appendOptInt(b, int64(ev.Lib), ev.Lib >= 0)
@@ -150,6 +150,7 @@ func (c *CSVWriter) Record(ev Event) {
 	b = append(b, ',')
 	b = append(b, ev.Name...) // resource names contain no commas/quotes
 	b = append(b, '\n')
+	c.line = b
 	if _, err := c.w.Write(b); err != nil {
 		c.err = err
 	}

@@ -175,10 +175,23 @@ type Buffer struct {
 // means unbounded.
 func NewBuffer(limit int) *Buffer { return &Buffer{limit: limit} }
 
-// Record appends the event, dropping it if the cap is reached.
+// Record appends the event, dropping it if the cap is reached. A full
+// backing array grows by doubling, never past the cap, so recording n
+// events copies each one about twice in total; append's ~1.25× growth for
+// large slices copies it about four times.
 func (b *Buffer) Record(ev Event) {
-	if b.limit > 0 && len(b.Events) >= b.limit {
+	n := len(b.Events)
+	if b.limit > 0 && n >= b.limit {
 		return
+	}
+	if n == cap(b.Events) {
+		size := max(2*n, 64)
+		if b.limit > 0 {
+			size = min(size, b.limit)
+		}
+		grown := make([]Event, n, size)
+		copy(grown, b.Events)
+		b.Events = grown
 	}
 	b.Events = append(b.Events, ev)
 }

@@ -3,8 +3,11 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func sampleEvents() []Event {
@@ -145,6 +148,70 @@ func TestBufferLimit(t *testing.T) {
 	b.Record(Event{Kind: KindSubmit})
 	if b.Len() != 1 {
 		t.Errorf("Len after re-record = %d", b.Len())
+	}
+}
+
+// TestSinkRecordDoesNotAllocate pins that the streaming sinks encode into
+// a buffer they own: once the header is out and the line buffer has grown,
+// recording an event allocates nothing.
+func TestSinkRecordDoesNotAllocate(t *testing.T) {
+	sinks := map[string]Recorder{
+		"jsonl": NewJSONLWriter(io.Discard),
+		"csv":   NewCSVWriter(io.Discard),
+	}
+	for name, r := range sinks {
+		for _, ev := range sampleEvents() {
+			r.Record(ev)
+		}
+		evs := sampleEvents()
+		i := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			r.Record(evs[i%len(evs)])
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Record allocates %v times per event, want 0", name, allocs)
+		}
+	}
+}
+
+// TestBufferGrowthCopiesLittle pins Buffer's doubling growth: recording n
+// events into an unbounded Buffer allocates less than three times the
+// final backing array (append's ~1.25× growth allocates about five times).
+func TestBufferGrowthCopiesLittle(t *testing.T) {
+	const n = 50_000
+	ev := sampleEvents()[1]
+	b := NewBuffer(0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		b.Record(ev)
+	}
+	runtime.ReadMemStats(&after)
+	if b.Len() != n {
+		t.Fatalf("Len = %d, want %d", b.Len(), n)
+	}
+	final := uint64(cap(b.Events)) * uint64(unsafe.Sizeof(ev))
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 3*final {
+		t.Errorf("recording %d events allocated %d bytes, want < 3× the final array's %d", n, got, final)
+	}
+}
+
+// TestBufferGrowthStopsAtLimit checks that growth never reserves more than
+// the cap and that the cap still drops the excess.
+func TestBufferGrowthStopsAtLimit(t *testing.T) {
+	const limit = 100
+	b := NewBuffer(limit)
+	for i := 0; i < 3*limit; i++ {
+		b.Record(Event{T: float64(i), Kind: KindSubmit})
+	}
+	if b.Len() != limit || cap(b.Events) != limit {
+		t.Fatalf("Len = %d, cap = %d, want both %d", b.Len(), cap(b.Events), limit)
+	}
+	for i, ev := range b.Events {
+		if ev.T != float64(i) {
+			t.Fatalf("event %d has T = %v, want %d", i, ev.T, i)
+		}
 	}
 }
 
