@@ -30,6 +30,11 @@ bench:
 
 # golden regenerates the byte-stable JSONL trace golden files (healthy
 # and degraded) after an intentional schema change (update
-# docs/OBSERVABILITY.md / docs/RESILIENCE.md alongside).
+# docs/OBSERVABILITY.md / docs/RESILIENCE.md alongside), and the Quick
+# sweep's report JSON goldens, one per build (the race build runs fewer
+# requests), after an intentional exhibit change (record it in
+# EXPERIMENTS.md).
 golden:
 	UPDATE_GOLDEN=1 $(GO) test ./internal/tapesys -run Golden -count=1
+	UPDATE_GOLDEN=1 $(GO) test ./internal/experiments -run TestSweepDeterminismAcrossWorkers -count=1
+	UPDATE_GOLDEN=1 $(GO) test -race ./internal/experiments -run TestSweepDeterminismAcrossWorkers -count=1

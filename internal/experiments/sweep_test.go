@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -37,6 +39,11 @@ func sweepJSON(t *testing.T, cfg Config) []byte {
 // byte-identical at every worker count — run parallelism may not change a
 // single byte of any exhibit. Request count is reduced to keep the
 // sweeps inside the test budget; every exhibit still runs.
+//
+// The serial sweep is also compared with a committed golden, so any change
+// to any exhibit shows up as a diff of testdata/. The race build runs
+// fewer requests and has a golden of its own. UPDATE_GOLDEN=1 (or `make
+// golden`) rewrites the golden of the build that runs.
 func TestSweepDeterminismAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3 full sweeps; skipped in -short")
@@ -56,6 +63,19 @@ func TestSweepDeterminismAcrossWorkers(t *testing.T) {
 	base := cfg
 	base.Workers = 1
 	want := sweepJSON(t, base)
+	golden := filepath.Join("testdata", fmt.Sprintf("sweep_quick_r%d.json", cfg.Requests))
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, want, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("sweep golden updated (%d bytes)", len(want))
+	} else if prev, err := os.ReadFile(golden); err != nil {
+		t.Fatalf("read golden (regenerate with UPDATE_GOLDEN=1): %v", err)
+	} else if !bytes.Equal(want, prev) {
+		t.Errorf("serial sweep JSON differs from %s (%d vs %d bytes): an exhibit changed.\n"+
+			"If intentional, regenerate with UPDATE_GOLDEN=1 and record the change in EXPERIMENTS.md.",
+			golden, len(want), len(prev))
+	}
 
 	for _, workers := range workerCounts {
 		c := cfg
