@@ -23,15 +23,23 @@
 // calls through a scratch free list: object→request and request→atom
 // incidence as CSR index pairs, pairwise similarities as a sorted flat
 // entry slice aggregated by a single scan, and live-cluster adjacency as
-// sorted spans into one arena that is compacted when merges strand too many
-// dead entries. A merge never shifts a neighbor's span: the absorbed
-// cluster's entry stays in its sorted slot as a tombstone, an entry whose
-// key is a cluster that is no longer alive. Spans therefore stay sorted
-// with unique keys, every binary search for a live key stays exact, and
-// nothing looks a dead key up again; walks and compaction skip tombstones.
-// docs/PERFORMANCE.md ("Placement pipeline") sketches the layout and the
-// argument for why every transformation reproduces the original map-based
-// results bit for bit.
+// sorted spans into one arena, allocated once at twice the initial entries
+// and compacted in place whenever its tail fills. A merge never shifts a
+// neighbor's span: the absorbed cluster's entry stays in its sorted slot as
+// a tombstone, an entry whose key is a cluster that is no longer alive.
+// Spans therefore stay sorted with unique keys, every binary search for a
+// live key stays exact, and nothing looks a dead key up again; walks and
+// compaction skip tombstones.
+//
+// Merges are chosen by the generic algorithm of Müllner ("Modern
+// hierarchical, agglomerative clustering algorithms", arXiv:1109.2378),
+// turned from distances to similarities: a heap holds one entry per live
+// cluster, an upper bound on its best merge with a neighbor above its own
+// index, and an entry that surfaces stale is rescanned rather than merged.
+// The merge sequence is the greedy (similarity, lower index, higher index)
+// order of the original implementation. docs/PERFORMANCE.md ("Placement
+// pipeline") sketches the layout and the argument for why every
+// transformation reproduces the original map-based results bit for bit.
 package cluster
 
 import (
@@ -388,7 +396,9 @@ func buildEdgesInto(w *model.Workload, atoms []atom, s *scratch) []pairEdge {
 	count := growSlice(s.counts, len(atoms))
 	radixSortEntries(entries, tmp, count)
 	s.entries, s.entriesTmp, s.counts = entries, tmp, count
-	s.edges = scanEntries(s.edges[:0], entries)
+	// Every edge sums at least one contribution, so the entry count bounds
+	// the edge count: the list is sized once and the scan never regrows it.
+	s.edges = scanEntries(growSlice(s.edges, pairs)[:0], entries)
 	return s.edges
 }
 
@@ -482,98 +492,6 @@ func mergeLink(x, y linkInfo) linkInfo {
 	return out
 }
 
-// candidate is a heap entry proposing to merge clusters a and b. The
-// indices and versions are int32 — atom counts and merge counts both fit
-// comfortably — so a candidate packs into 24 bytes instead of 40, which at
-// ~10^6 heap entries is the difference between the heap fitting in cache
-// or not (and a 40% cut in its backing-array bytes).
-type candidate struct {
-	sim        float64
-	ab         uint64 // packed pair a<<32 | b; one compare breaks (a, b) ties
-	verA, verB int32  // cluster versions at proposal time (lazy invalidation)
-}
-
-func (c candidate) pair() (int32, int32) {
-	return int32(c.ab >> 32), int32(uint32(c.ab))
-}
-
-// candHeap is a hand-rolled 4-ary max-heap on (sim, a, b); avoiding
-// container/heap's interface boxing matters at ~10^6 candidates, and the
-// wider nodes halve the tree depth (fewer dependent sift steps, and the
-// four children of a node sit in at most two cache lines).
-//
-// Heap shape does not affect the merge sequence: candLess is strict on
-// (sim, a, b), so pop order is fully determined up to entries for the same
-// pair at the same similarity, which differ only in their version stamps.
-// Of those, at most one matches the clusters' current versions, and the
-// stale ones either skip (roots already joined) or re-propose a candidate
-// identical to the surviving one — the same merges fire in the same order
-// whichever of the equal entries surfaces first (TestRunMatchesReference
-// pins this against the reference implementation's binary heap).
-type candHeap []candidate
-
-// candLess orders by descending sim, then ascending packed pair — the
-// cluster indices are non-negative, so the uint64 comparison is exactly
-// the (a, b) lexicographic order.
-func candLess(x, y candidate) bool {
-	if x.sim != y.sim {
-		return x.sim > y.sim
-	}
-	return x.ab < y.ab
-}
-
-// push and pop sift a hole rather than swapping: the displaced element is
-// written once at its final slot, halving the stores per sift step.
-func (h *candHeap) push(c candidate) {
-	s := append(*h, c)
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !candLess(c, s[p]) {
-			break
-		}
-		s[i] = s[p]
-		i = p
-	}
-	s[i] = c
-	*h = s
-}
-
-func (h *candHeap) pop() candidate {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	last := s[n]
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		best := first
-		for j := first + 1; j < end; j++ {
-			if candLess(s[j], s[best]) {
-				best = j
-			}
-		}
-		if !candLess(s[best], last) {
-			break
-		}
-		s[i] = s[best]
-		i = best
-	}
-	if n > 0 {
-		s[i] = last
-	}
-	return top
-}
-
 // The adjacency arena stores neighbor records as two parallel arrays: the
 // neighbor cluster indices (nbrs, the search keys) and the pair-similarity
 // aggregates (links, the payloads). A live cluster's neighbors occupy one
@@ -588,16 +506,25 @@ func (h *candHeap) pop() candidate {
 // kept as an intrusive linked list through agg.atomNext (head/tail splice
 // on merge, no copying); neighbors are the arena span [adjOff, adjOff+adjLen),
 // which holds dead tombstones among its entries.
+//
+// Each queued cluster x is one heap entry (bound, partner): an upper bound
+// on the similarity of x's best eligible merge with a neighbor above its own
+// index, and the neighbor it was computed for. The invariant is
+// lexicographic: every eligible neighbor y > x has sim(x, y) < bound, or
+// sim(x, y) == bound and y ≥ partner. A cluster with no eligible neighbor
+// above it is not queued (slot -1).
 type liveCluster struct {
 	objects  int64 // object count
 	bytes    int64
 	cohesion float64 // linkage value of the last merge
+	bound    float64 // heap key; see the invariant above
 	adjOff   int32
 	adjLen   int32
 	dead     int32
 	atomHead int32
 	atomTail int32
-	version  int32
+	partner  int32 // the neighbor bound was computed or raised for
+	slot     int32 // position in agg.heap, or -1
 	alive    bool
 }
 
@@ -606,27 +533,16 @@ type agg struct {
 	cfg      Config
 	words    int // request-bitset words per cluster
 	clusters []liveCluster
-	parent   []int32 // union-find with path halving
 	atomNext []int32
 	bits     []uint64
 	nbrs     []int32    // adjacency keys (parallel to links)
 	links    []linkInfo // adjacency payloads
-	spareN   []int32    // compaction targets, swapped with nbrs/links
-	spareL   []linkInfo
-	live     int // live entries in the arena (for the compaction trigger)
-	heap     *candHeap
+	order    []int32    // compaction's span order (one slot per atom)
+	heap     []int32    // queued clusters, a binary heap ordered by before
 }
 
 // degree returns c's live neighbor count: its span minus the tombstones.
 func (c *liveCluster) degree() int { return int(c.adjLen - c.dead) }
-
-func (g *agg) find(x int32) int32 {
-	for g.parent[x] != x {
-		g.parent[x] = g.parent[g.parent[x]]
-		x = g.parent[x]
-	}
-	return x
-}
 
 // lowerBound returns the first index in the sorted keys not less than nbr.
 func lowerBound(keys []int32, nbr int32) int {
@@ -650,46 +566,127 @@ func findKey(keys []int32, nbr int32) int {
 	return -1
 }
 
-// propose pushes a merge candidate for live clusters a and b (any order)
-// whose current link aggregate is li, if the linkage value clears the
-// threshold and the caps allow the union.
-func (g *agg) propose(a, b int32, li linkInfo) {
-	if a > b {
-		a, b = b, a
-	}
-	ca, cb := &g.clusters[a], &g.clusters[b]
-	if !ca.alive || !cb.alive {
-		return
-	}
-	sim := li.value(g.cfg.Linkage, ca.objects, cb.objects)
-	if sim < g.cfg.Threshold {
-		return
-	}
-	if g.cfg.MaxObjects > 0 && ca.objects+cb.objects > int64(g.cfg.MaxObjects) {
-		return
-	}
-	if g.cfg.MaxBytes > 0 && ca.bytes+cb.bytes > g.cfg.MaxBytes {
-		return
-	}
-	g.heap.push(candidate{
-		sim:  sim,
-		ab:   uint64(uint32(a))<<32 | uint64(uint32(b)),
-		verA: ca.version, verB: cb.version,
-	})
+// eligible returns the linkage similarity of live clusters x and y linked
+// by li, and whether they may merge: it reaches the threshold and the caps
+// allow the union.
+func (g *agg) eligible(x, y *liveCluster, li linkInfo) (float64, bool) {
+	sim := li.value(g.cfg.Linkage, x.objects, y.objects)
+	ok := sim >= g.cfg.Threshold &&
+		(g.cfg.MaxObjects <= 0 || x.objects+y.objects <= int64(g.cfg.MaxObjects)) &&
+		(g.cfg.MaxBytes <= 0 || x.bytes+y.bytes <= g.cfg.MaxBytes)
+	return sim, ok
 }
 
-// proposeLookup re-proposes the pair (a, b) from its stored adjacency, if
-// the clusters are still linked; used when a stale heap entry surfaces.
-func (g *agg) proposeLookup(a, b int32) {
-	if a == b {
+// before orders heap entries: the larger bound first, then the smaller
+// index. An entry stands for its cluster's best pair above its own index
+// (smallest partner among equals), so this is the greedy (sim desc, a asc,
+// b asc) pair order; indices are unique, so the order is total and the
+// merge sequence does not depend on the heap's shape.
+func (g *agg) before(x, y int32) bool {
+	bx, by := g.clusters[x].bound, g.clusters[y].bound
+	if bx != by {
+		return bx > by
+	}
+	return x < y
+}
+
+// sift moves the entry at slot i up or down to its place, writing each
+// displaced entry once.
+func (g *agg) sift(i int) {
+	h := g.heap
+	x := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !g.before(x, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		g.clusters[h[i]].slot = int32(i)
+		i = p
+	}
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && g.before(h[c+1], h[c]) {
+			c++
+		}
+		if !g.before(h[c], x) {
+			break
+		}
+		h[i] = h[c]
+		g.clusters[h[i]].slot = int32(i)
+		i = c
+	}
+	h[i] = x
+	g.clusters[x].slot = int32(i)
+}
+
+// queue sets x's entry to (sim, partner), queuing x if needed.
+func (g *agg) queue(x int32, sim float64, partner int32) {
+	c := &g.clusters[x]
+	c.bound, c.partner = sim, partner
+	if c.slot < 0 {
+		c.slot = int32(len(g.heap))
+		g.heap = append(g.heap, x)
+	}
+	g.sift(int(c.slot))
+}
+
+// dequeue removes x's entry, if x is queued.
+func (g *agg) dequeue(x int32) {
+	i := int(g.clusters[x].slot)
+	if i < 0 {
 		return
 	}
-	cl := &g.clusters[a]
-	p := findKey(g.nbrs[cl.adjOff:cl.adjOff+cl.adjLen], b)
-	if p < 0 {
+	g.clusters[x].slot = -1
+	last := g.heap[len(g.heap)-1]
+	g.heap = g.heap[:len(g.heap)-1]
+	if last != x {
+		g.heap[i] = last
+		g.sift(i)
+	}
+}
+
+// rescan recomputes x's entry exactly from its span above its own index:
+// the best eligible similarity and, among equals, the smallest neighbor
+// (keys ascend, so the first maximum wins). x leaves the heap when no
+// neighbor above it is eligible.
+func (g *agg) rescan(x int32) {
+	c := &g.clusters[x]
+	keys := g.nbrs[c.adjOff : c.adjOff+c.adjLen]
+	lis := g.links[c.adjOff : c.adjOff+c.adjLen]
+	best, bestSim := int32(-1), 0.0
+	for i := lowerBound(keys, x); i < len(keys); i++ {
+		k := &g.clusters[keys[i]]
+		if !k.alive {
+			continue
+		}
+		if sim, ok := g.eligible(c, k, lis[i]); ok && (best < 0 || sim > bestSim) {
+			best, bestSim = keys[i], sim
+		}
+	}
+	if best < 0 {
+		g.dequeue(x)
 		return
 	}
-	g.propose(a, b, g.links[int(cl.adjOff)+p])
+	g.queue(x, bestSim, best)
+}
+
+// raise restores neighbor k's invariant after merges changed the link
+// (k, a) to li: when k lies below survivor a and the pair beats k's entry —
+// a larger similarity, or an equal one with a smaller index than k's
+// partner — the entry becomes the pair. Pairs above a are a's own entry's.
+func (g *agg) raise(k, a int32, li linkInfo) {
+	if k > a {
+		return
+	}
+	ck := &g.clusters[k]
+	sim, ok := g.eligible(ck, &g.clusters[a], li)
+	if ok && (ck.slot < 0 || sim > ck.bound || sim == ck.bound && a < ck.partner) {
+		g.queue(k, sim, a)
+	}
 }
 
 // renameNbr rewrites k's entry for old to refer to new with aggregate li,
@@ -716,83 +713,76 @@ func (g *agg) renameNbr(k, old, new int32, li linkInfo) {
 	lis[lb] = li
 }
 
-// mergeNbr collapses k's entries for the merging pair (a absorbs b): a's
-// entry takes the merged aggregate li and b's entry, already dead, stays in
-// its sorted slot as one more tombstone of k's span.
-func (g *agg) mergeNbr(k, a, b int32, li linkInfo) {
+// mergeNbr gives k's entry for a the merged aggregate li; k's entry for the
+// absorbed cluster, already dead, stays in its sorted slot as one more
+// tombstone of k's span.
+func (g *agg) mergeNbr(k, a int32, li linkInfo) {
 	cl := &g.clusters[k]
 	off := int(cl.adjOff)
 	g.links[off+findKey(g.nbrs[off:off+int(cl.adjLen)], a)] = li
 	cl.dead++
-	g.live--
 }
 
-// ensure guarantees capacity for need appended entries without moving the
-// arena backing mid-merge. When at least half the arena is dead (tombstones
-// and the spans merges left behind) it compacts the live entries of live
-// spans into the spare buffer (swapping the two), otherwise it grows.
-// Compaction leaves every span without tombstones.
+// ensure makes room for need entries at the arena tail by compacting the
+// live spans to the front, in place, when the tail is full. The arena holds
+// twice the initial entries, and a merge only joins neighbor sets, so the
+// live entries never exceed the initial count; need (the merging pair's
+// live degrees) never exceeds the live entries, so after a compaction the
+// tail always has room and the arena never grows. Spans move in offset
+// order, so each lands at or below where it was and no copy overwrites an
+// entry not yet moved; a compacted span holds no tombstones.
 func (g *agg) ensure(need int) {
 	if len(g.nbrs)+need <= cap(g.nbrs) {
 		return
 	}
-	if g.live <= len(g.nbrs)/2 {
-		want := g.live + need
-		if cap(g.spareN) < want {
-			g.spareN = make([]int32, 0, 2*want)
-			g.spareL = make([]linkInfo, 0, 2*want)
-		}
-		dstN, dstL := g.spareN[:0], g.spareL[:0]
-		for i := range g.clusters {
-			c := &g.clusters[i]
-			if !c.alive || c.adjLen == 0 {
-				continue
-			}
-			off := int32(len(dstN))
-			if c.dead == 0 {
-				dstN = append(dstN, g.nbrs[c.adjOff:c.adjOff+c.adjLen]...)
-				dstL = append(dstL, g.links[c.adjOff:c.adjOff+c.adjLen]...)
-			} else {
-				for j := c.adjOff; j < c.adjOff+c.adjLen; j++ {
-					if g.clusters[g.nbrs[j]].alive {
-						dstN = append(dstN, g.nbrs[j])
-						dstL = append(dstL, g.links[j])
-					}
-				}
-				c.dead = 0
-			}
-			c.adjOff = off
-			c.adjLen = int32(len(dstN)) - off
-		}
-		oldN, oldL := g.nbrs, g.links
-		g.nbrs, g.links = dstN, dstL
-		g.spareN, g.spareL = oldN[:0], oldL[:0]
-		if len(g.nbrs)+need <= cap(g.nbrs) {
-			return
+	order := g.order[:0]
+	for i := range g.clusters {
+		if c := &g.clusters[i]; c.alive && c.adjLen > 0 {
+			order = append(order, int32(i))
 		}
 	}
-	grownN := make([]int32, len(g.nbrs), 2*cap(g.nbrs)+need)
-	grownL := make([]linkInfo, len(g.links), 2*cap(g.nbrs)+need)
-	copy(grownN, g.nbrs)
-	copy(grownL, g.links)
-	g.nbrs, g.links = grownN, grownL
+	slices.SortFunc(order, func(x, y int32) int {
+		return cmp.Compare(g.clusters[x].adjOff, g.clusters[y].adjOff)
+	})
+	n := int32(0)
+	for _, i := range order {
+		c := &g.clusters[i]
+		off := n
+		if c.dead == 0 {
+			copy(g.nbrs[n:], g.nbrs[c.adjOff:c.adjOff+c.adjLen])
+			copy(g.links[n:], g.links[c.adjOff:c.adjOff+c.adjLen])
+			n += c.adjLen
+		} else {
+			for j := c.adjOff; j < c.adjOff+c.adjLen; j++ {
+				if g.clusters[g.nbrs[j]].alive {
+					g.nbrs[n], g.links[n] = g.nbrs[j], g.links[j]
+					n++
+				}
+			}
+		}
+		c.adjOff, c.adjLen, c.dead = off, n-off, 0
+	}
+	g.nbrs, g.links = g.nbrs[:n], g.links[:n]
 }
 
 // union merges cluster b into a (a keeps its index), assuming a, b are live
-// roots and the caller already validated the merge. The new adjacency span
-// for a is written at the arena tail by a linear merge of a's and b's spans
-// in ascending neighbor order, skipping tombstones on both sides (b, dead
-// by then, is one of a's); for each neighbor taken from b's side the
-// reverse edge is retargeted and the refreshed pair proposed — the same
-// visit order, aggregate values, and heap pushes as the old map fold over
-// b's sorted keys. a's rebuilt span holds no tombstones.
+// and the caller already validated the merge. The new adjacency span for a
+// is written at the arena tail by a linear merge of a's and b's spans in
+// ascending neighbor order, skipping tombstones on both sides (b, dead by
+// then, is one of a's); for each neighbor taken from b's side the reverse
+// edge is retargeted, and each such neighbor below a has its heap entry
+// raised to the new pair where it beats it. a's rebuilt span holds no
+// tombstones; b leaves the heap and a's entry is recomputed from scratch.
+//
+// Every other entry stays an upper bound: a neighbor of a alone keeps its
+// link while a grows, which never raises its similarity (average linkage
+// divides by more pairs, complete linkage may drop to zero, single linkage
+// stays), and the caps only refuse more.
 func (g *agg) union(a, b int32, sim float64) {
 	ca, cb := &g.clusters[a], &g.clusters[b]
 	// Reserve arena room first: a compaction here still sees both spans as
 	// live and relocates them coherently before we capture them below.
 	g.ensure(ca.degree() + cb.degree())
-	g.parent[b] = a
-	ca.version++
 	g.atomNext[ca.atomTail] = cb.atomHead
 	ca.atomTail = cb.atomTail
 	ca.objects += cb.objects
@@ -804,13 +794,13 @@ func (g *agg) union(a, b int32, sim float64) {
 	}
 	ca.cohesion = sim
 	cb.alive = false
+	g.dequeue(b)
 
 	ka := g.nbrs[ca.adjOff : ca.adjOff+ca.adjLen]
 	la := g.links[ca.adjOff : ca.adjOff+ca.adjLen]
 	kb := g.nbrs[cb.adjOff : cb.adjOff+cb.adjLen]
 	lb := g.links[cb.adjOff : cb.adjOff+cb.adjLen]
 	base := len(g.nbrs)
-	g.live -= ca.degree() + cb.degree()
 	ia, ib := 0, 0
 	for ia < len(ka) && ib < len(kb) {
 		if !g.clusters[ka[ia]].alive {
@@ -834,17 +824,15 @@ func (g *agg) union(a, b int32, sim float64) {
 			}
 			g.nbrs = append(g.nbrs, ka[ia:run]...)
 			g.links = append(g.links, la[ia:run]...)
-			g.live += run - ia
 			ia = run
 		case kb[ib] < ka[ia]:
 			// Neighbor of b only: a inherits the aggregate; retarget the
-			// reverse edge and propose the refreshed pair.
+			// reverse edge.
 			k, li := kb[ib], lb[ib]
 			g.nbrs = append(g.nbrs, k)
 			g.links = append(g.links, li)
-			g.live++
 			g.renameNbr(k, b, a, li)
-			g.propose(a, k, li)
+			g.raise(k, a, li)
 			ib++
 		default:
 			// Shared neighbor: merge the aggregates (a's first, matching
@@ -853,9 +841,8 @@ func (g *agg) union(a, b int32, sim float64) {
 			li := mergeLink(la[ia], lb[ib])
 			g.nbrs = append(g.nbrs, k)
 			g.links = append(g.links, li)
-			g.live++
-			g.mergeNbr(k, a, b, li)
-			g.propose(a, k, li)
+			g.mergeNbr(k, a, li)
+			g.raise(k, a, li)
 			ia++
 			ib++
 		}
@@ -872,10 +859,9 @@ func (g *agg) union(a, b int32, sim float64) {
 		}
 		g.nbrs = append(g.nbrs, ka[ia:run]...)
 		g.links = append(g.links, la[ia:run]...)
-		g.live += run - ia
 		ia = run
 	}
-	// b's tail: still needs the per-entry retarget and refresh.
+	// b's tail: still needs the per-entry retarget and raise.
 	for ; ib < len(kb); ib++ {
 		if kb[ib] == a || !g.clusters[kb[ib]].alive {
 			continue
@@ -883,14 +869,14 @@ func (g *agg) union(a, b int32, sim float64) {
 		k, li := kb[ib], lb[ib]
 		g.nbrs = append(g.nbrs, k)
 		g.links = append(g.links, li)
-		g.live++
 		g.renameNbr(k, b, a, li)
-		g.propose(a, k, li)
+		g.raise(k, a, li)
 	}
 	ca.adjOff = int32(base)
 	ca.adjLen = int32(len(g.nbrs) - base)
 	ca.dead = 0
 	cb.adjLen, cb.dead = 0, 0
+	g.rescan(a)
 }
 
 func agglomerateInto(w *model.Workload, atoms []atom, cfg Config, s *scratch) []Cluster {
@@ -900,7 +886,7 @@ func agglomerateInto(w *model.Workload, atoms []atom, cfg Config, s *scratch) []
 	n := len(atoms)
 
 	// Pre-count adjacency degrees so every span is born at its final
-	// initial size inside one arena.
+	// initial size inside one arena of twice that size (see ensure).
 	degree := growI32(s.degree, n)
 	for _, e := range edges {
 		degree[e.a]++
@@ -908,13 +894,12 @@ func agglomerateInto(w *model.Workload, atoms []atom, cfg Config, s *scratch) []
 	}
 	clusters := growSlice(s.clusters, n)
 	atomNext := growSlice(s.atomNext, n)
-	parent := growSlice(s.parent, n)
 	bitsArena := growSlice(s.bits, words*n)
 	for i := range bitsArena {
 		bitsArena[i] = 0
 	}
-	nbrs := growSlice(s.nbrs, 2*len(edges))
-	links := growSlice(s.links, 2*len(edges))
+	nbrs := growSlice(s.nbrs, 4*len(edges))[:2*len(edges)]
+	links := growSlice(s.links, 4*len(edges))[:2*len(edges)]
 	off := int32(0)
 	for i := range atoms {
 		clusters[i] = liveCluster{
@@ -925,29 +910,22 @@ func agglomerateInto(w *model.Workload, atoms []atom, cfg Config, s *scratch) []
 			adjLen:   degree[i],
 			atomHead: int32(i),
 			atomTail: int32(i),
+			slot:     -1,
 			alive:    true,
 		}
 		off += degree[i]
 		atomNext[i] = -1
-		parent[i] = int32(i)
 		cw := bitsArena[i*words : (i+1)*words]
 		for _, r := range atoms[i].reqs {
 			cw[int(r)/64] |= 1 << (uint(r) % 64)
 		}
 	}
-	// The heap sees at most one initial proposal per edge plus lazy
-	// refreshes; starting at edge capacity removes nearly all regrowth.
-	if cap(s.heap) < len(edges) {
-		s.heap = make(candHeap, 0, len(edges))
-	}
-	s.heap = s.heap[:0]
 
 	g := &agg{
 		cfg: cfg, words: words,
-		clusters: clusters, parent: parent, atomNext: atomNext,
+		clusters: clusters, atomNext: atomNext,
 		bits: bitsArena, nbrs: nbrs, links: links,
-		spareN: s.spareN[:0], spareL: s.spareL[:0],
-		live: 2 * len(edges), heap: &s.heap,
+		order: degree, heap: growSlice(s.heap, n)[:0],
 	}
 	// Initial fill: edges are sorted by (a, b), so filling both directions
 	// in edge order leaves every span sorted by neighbor.
@@ -967,42 +945,40 @@ func agglomerateInto(w *model.Workload, atoms []atom, cfg Config, s *scratch) []
 		cur[e.a]++
 		g.nbrs[cur[e.b]], g.links[cur[e.b]] = int32(e.a), li
 		cur[e.b]++
-		g.propose(int32(e.a), int32(e.b), li)
 	}
 	s.cursor = cur
-
-	for len(*g.heap) > 0 {
-		c := g.heap.pop()
-		pa, pb := c.pair()
-		a, b := g.find(pa), g.find(pb)
-		if a == b {
-			continue
-		}
-		ca, cb := &clusters[a], &clusters[b]
-		if a != pa || b != pb || ca.version != c.verA || cb.version != c.verB {
-			// Stale: the endpoints merged or changed since this proposal.
-			// Re-evaluate the surviving pair lazily (no proactive fan-out
-			// after merges keeps the heap small).
-			if a > b {
-				a, b = b, a
-			}
-			g.proposeLookup(a, b)
-			continue
-		}
-		// Merge the smaller adjacency into the larger, counting live
-		// neighbors: span lengths include tombstones, and comparing them
-		// would change which index survives.
-		if cb.degree() > ca.degree() {
-			a, b = b, a
-		}
-		g.union(a, b, c.sim)
+	for x := range clusters {
+		g.rescan(int32(x))
 	}
 
-	// Write the scratch-owned state back (the arena may have been swapped
-	// or regrown) before materializing the freshly allocated output.
-	s.clusters, s.parent, s.atomNext = g.clusters, g.parent, g.atomNext
-	s.bits, s.degree = g.bits, degree
-	s.nbrs, s.links, s.spareN, s.spareL = g.nbrs, g.links, g.spareN, g.spareL
+	// The top entry merges when its partner is alive and still at the
+	// bound: the invariant then makes the pair the greedy maximum.
+	// Otherwise the bound is stale (the partner died, or a grew and its
+	// similarity fell), and the cluster is rescanned.
+	for len(g.heap) > 0 {
+		x := g.heap[0]
+		cx := &clusters[x]
+		if cp := &clusters[cx.partner]; cp.alive {
+			li := g.links[int(cx.adjOff)+findKey(g.nbrs[cx.adjOff:cx.adjOff+cx.adjLen], cx.partner)]
+			if sim, ok := g.eligible(cx, cp, li); ok && sim == cx.bound {
+				// Merge the smaller adjacency into the larger, counting live
+				// neighbors: span lengths include tombstones, and comparing
+				// them would change which index survives.
+				a, b := x, cx.partner
+				if cp.degree() > cx.degree() {
+					a, b = b, a
+				}
+				g.union(a, b, sim)
+				continue
+			}
+		}
+		g.rescan(x)
+	}
+
+	// Write the scratch-owned state back (compaction reslices the arena)
+	// before materializing the freshly allocated output.
+	s.clusters, s.atomNext, s.bits, s.degree = g.clusters, g.atomNext, g.bits, degree
+	s.nbrs, s.links, s.heap = g.nbrs, g.links, g.heap
 
 	nAlive, totObjs := 0, 0
 	for i := range clusters {

@@ -31,17 +31,17 @@ type scratch struct {
 	counts     []int32
 	edges      []pairEdge
 
-	// agglomerate: cluster table, adjacency arena, request bitsets, heap.
+	// agglomerate: the cluster table; the degree pre-count, reused as
+	// compaction's span order; atom lists; request bitsets; the adjacency
+	// arena (keys and aggregates), allocated at twice the initial entries
+	// and compacted in place, never grown; and the heap, one slot per atom.
 	clusters []liveCluster
 	degree   []int32
-	parent   []int32
 	atomNext []int32
 	bits     []uint64
 	nbrs     []int32
 	links    []linkInfo
-	spareN   []int32
-	spareL   []linkInfo
-	heap     candHeap
+	heap     []int32
 }
 
 // The free list is a mutex-guarded stack rather than a sync.Pool: pool
