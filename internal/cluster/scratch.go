@@ -73,6 +73,18 @@ func putScratch(s *scratch) {
 	}
 }
 
+// ReleaseScratch empties the free list, so the garbage collector can
+// reclaim the buffers it keeps. Each kept scratch stays sized to the
+// largest input it has clustered; a caller done with a batch of large
+// clusterings (experiments.All) releases them instead of holding them for
+// the rest of the process. The next Run allocates a fresh scratch, and a
+// Run in flight returns its own as usual.
+func ReleaseScratch() {
+	scratchMu.Lock()
+	defer scratchMu.Unlock()
+	scratchFree = nil
+}
+
 // growI32 returns a zeroed int32 slice of length n, reusing buf's backing
 // array when it is large enough.
 func growI32(buf []int32, n int) []int32 {

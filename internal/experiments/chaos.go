@@ -51,10 +51,6 @@ func Chaos(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl, err := clusterOnce(w)
-	if err != nil {
-		return nil, err
-	}
 	points := []chaosPoint{
 		{"healthy", 0},
 		{"mtbf 40000s", 40000},
@@ -67,7 +63,7 @@ func Chaos(cfg Config) (*Report, error) {
 		if pt.mtbf > 0 {
 			opts.Faults = chaosProfile(cfg.Seed^0xC4A05, pt.mtbf)
 		}
-		for _, sch := range cfg.threeSchemes(cl) {
+		for _, sch := range cfg.threeSchemes() {
 			runs = append(runs, Run{
 				Label:  pt.name,
 				Scheme: sch,

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"paralleltape/internal/placement"
 	"paralleltape/internal/telemetry"
 )
 
@@ -459,7 +460,9 @@ func TestDeterministicReports(t *testing.T) {
 // TestSweepTelemetry checks the live-metric plumbing: a sweep with a
 // shared collector maintains the run/request targets and completion
 // counters, and — the determinism guard at the sweep level — produces
-// exactly the same rows as the same sweep with telemetry off.
+// exactly the same rows as the same sweep with telemetry off. A batch
+// whose runs simulate different request counts (Robustness's shape) must
+// keep the requests target equal to the count completed.
 func TestSweepTelemetry(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Requests = 5
@@ -510,5 +513,36 @@ func TestSweepTelemetry(t *testing.T) {
 			t.Errorf("row %d stats changed with telemetry on:\n%+v\nvs\n%+v",
 				i, base.Rows[i].Stats, traced.Rows[i].Stats)
 		}
+	}
+
+	w, err := cfg.baseWorkload(cfg.target(fig9ReqBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed := cfg
+	mixed.Telemetry = telemetry.NewCollector(telemetry.NewRegistry())
+	counts := []int{3, 0, 7} // 0 simulates cfg.Requests
+	var batch []Run
+	for _, n := range counts {
+		batch = append(batch, Run{Label: "mixed", Scheme: placement.ObjectProbability{K: cfg.K}, W: w, HW: cfg.HW, Requests: n})
+	}
+	for i, row := range mixed.RunAll(batch) {
+		if row.Err != nil {
+			t.Fatalf("mixed row %d: %v", i, row.Err)
+		}
+		n := counts[i]
+		if n == 0 {
+			n = cfg.Requests
+		}
+		if row.Stats.Requests != n*seeds {
+			t.Errorf("mixed row %d simulated %d requests, want %d", i, row.Stats.Requests, n*seeds)
+		}
+	}
+	mixedReqs := (3 + cfg.Requests + 7) * seeds
+	if got := mixed.Telemetry.RequestsTarget.Value(); got != int64(mixedReqs) {
+		t.Errorf("mixed batch: requests target = %d, want %d", got, mixedReqs)
+	}
+	if got := mixed.Telemetry.Completed.Value(); got != uint64(mixedReqs) {
+		t.Errorf("mixed batch: requests completed = %d, want %d", got, mixedReqs)
 	}
 }

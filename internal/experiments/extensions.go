@@ -22,14 +22,10 @@ func Striping(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl, err := clusterOnce(base)
-	if err != nil {
-		return nil, err
-	}
 	var runs []Run
 	runs = append(runs, Run{
 		Label:  "no striping",
-		Scheme: placement.ParallelBatch{M: cfg.M, K: cfg.K, Precomputed: cl},
+		Scheme: placement.ParallelBatch{M: cfg.M, K: cfg.K},
 		W:      base,
 		HW:     cfg.HW,
 	})
@@ -75,14 +71,10 @@ func Online(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl, err := clusterOnce(base)
-	if err != nil {
-		return nil, err
-	}
 	var runs []Run
 	runs = append(runs, Run{
 		Label:  "full knowledge (offline)",
-		Scheme: placement.ParallelBatch{M: cfg.M, K: cfg.K, Precomputed: cl},
+		Scheme: placement.ParallelBatch{M: cfg.M, K: cfg.K},
 		W:      base,
 		HW:     cfg.HW,
 		X:      0,
@@ -120,11 +112,7 @@ func Scheduler(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl, err := clusterOnce(base)
-	if err != nil {
-		return nil, err
-	}
-	scheme := placement.ParallelBatch{M: cfg.M, K: cfg.K, Precomputed: cl}
+	scheme := placement.ParallelBatch{M: cfg.M, K: cfg.K}
 	var runs []Run
 	for _, po := range []tapesys.PendingOrder{tapesys.LargestFirst, tapesys.SmallestFirst, tapesys.SlotOrder} {
 		for _, vp := range []tapesys.VictimPolicy{tapesys.LeastPopular, tapesys.MostPopular, tapesys.DriveOrder} {

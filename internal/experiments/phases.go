@@ -22,12 +22,17 @@ import (
 	"paralleltape/internal/workload"
 )
 
-// phaseBreakdown replays one scheme's placement with tracing on and
-// returns the span-level aggregate. The request stream matches seed 0 of
-// the shared runner (Config.execute), so the simulated work is the same
-// work the other exhibits measure.
-func (c Config) phaseBreakdown(run Run) (*spans.Breakdown, error) {
-	pr, err := run.Scheme.Place(run.W, run.HW)
+// phaseBreakdown places the run's workload, taking the scheme's
+// clustering from cl, replays the placement with tracing on and returns
+// the span-level aggregate. The request stream matches seed 0 of the
+// shared runner (Config.execute), so the simulated work is the same work
+// the other exhibits measure.
+func (c Config) phaseBreakdown(run Run, cl *clusterEntry) (*spans.Breakdown, error) {
+	sch, err := cl.resolve(run)
+	if err != nil {
+		return nil, fmt.Errorf("place: %w", err)
+	}
+	pr, err := sch.Place(run.W, run.HW)
 	if err != nil {
 		return nil, fmt.Errorf("place: %w", err)
 	}
@@ -40,10 +45,7 @@ func (c Config) phaseBreakdown(run Run) (*spans.Breakdown, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := c.Requests
-	if n <= 0 {
-		n = 200
-	}
+	n := c.requests(run)
 	for i := 0; i < n; i++ {
 		if _, err := sys.Submit(stream.Next()); err != nil {
 			return nil, fmt.Errorf("request %d: %w", i, err)
@@ -64,23 +66,25 @@ func Phases(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl, err := clusterOnce(w)
-	if err != nil {
-		return nil, err
+	var runs []Run
+	for _, sch := range cfg.threeSchemes() {
+		runs = append(runs, Run{Scheme: sch, W: w, HW: cfg.HW})
 	}
+	entries, _ := cfg.clusterings().claims(runs)
 	t := metrics.NewTable(
 		"Critical-path phase attribution (avg request ≈ 160 GB): share of response time blamed on each phase",
 		"scheme", "response p95 s", "queue", "rewind", "robot-wait", "robot-move", "load", "seek", "transfer")
 	var rows []Row
-	for _, sch := range cfg.threeSchemes(cl) {
-		b, err := cfg.phaseBreakdown(Run{Scheme: sch, W: w, HW: cfg.HW})
-		row := Row{Label: "phases", Scheme: sch.Name(), Err: err}
+	for i, run := range runs {
+		b, err := cfg.phaseBreakdown(run, entries[i])
+		name := run.Scheme.Name()
+		row := Row{Label: "phases", Scheme: name, Err: err}
 		if err != nil {
-			t.AddRow(sch.Name(), "ERROR: "+err.Error())
+			t.AddRow(name, "ERROR: "+err.Error())
 			rows = append(rows, row)
 			continue
 		}
-		t.AddRow(sch.Name(), fmt.Sprintf("%.0f", b.Response.P95),
+		t.AddRow(name, fmt.Sprintf("%.0f", b.Response.P95),
 			units.Percent(b.Share(spans.PhaseQueue)),
 			units.Percent(b.Share(spans.PhaseRewind)),
 			units.Percent(b.Share(spans.PhaseRobotWait)),

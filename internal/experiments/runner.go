@@ -12,10 +12,24 @@
 // changes not a single byte of output, only wall-clock time (the
 // determinism contract in docs/ARCHITECTURE.md).
 //
-// Runs within one sweep that share the same (scheme, workload, hardware)
-// triple — e.g. the scheduler study's nine policy points — also share one
-// memoized placement: Scheme.Place runs once per distinct triple and the
-// read-only PlacementResult is reused, concurrently, by every run.
+// Builders hand RunAll schemes as they are, and the runner resolves the
+// §5.1 clustering of every ParallelBatch (unless NoRefine) and
+// ClusterProbability scheme without a Precomputed result through a
+// clustering memo. The memo is keyed by a content digest of the workload
+// (object IDs and sizes, request IDs, probability bits and member lists)
+// plus the cluster.Config, so separately built workloads with equal
+// content share one clustering. All keeps one memo for its whole sweep;
+// an exhibit built on its own (ByID) gets one for its batch. A batch
+// queues its distinct clusterings as the pool's first tasks, so the
+// workers cluster in parallel and a run whose clustering is still being
+// computed waits on that one entry. When All returns it releases the
+// clustering scratch buffers (cluster.ReleaseScratch), which otherwise
+// stay sized to the sweep's largest input.
+//
+// Runs within one RunAll batch that share the same (scheme, workload,
+// hardware) triple — e.g. the scheduler study's nine policy points — also
+// share one memoized placement: Scheme.Place runs once per distinct triple
+// and the read-only PlacementResult is reused, concurrently, by every run.
 package experiments
 
 import (
@@ -27,7 +41,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"paralleltape/internal/cluster"
 	"paralleltape/internal/faults"
 	"paralleltape/internal/metrics"
 	"paralleltape/internal/model"
@@ -86,6 +99,10 @@ type Config struct {
 	// updates are atomic). Nil keeps the hot path recorder-free — the
 	// simulator's emit sites stay nil-check-only, with no allocations.
 	Telemetry *telemetry.Collector
+
+	// memo shares clusterings across the exhibits of one All call; nil
+	// gives each batch a memo of its own.
+	memo clusterMemo
 }
 
 // Default returns the paper's full-scale configuration.
@@ -177,7 +194,7 @@ func (c Config) baseWorkload(targetReqBytes float64) (*model.Workload, error) {
 }
 
 // Run is one simulation job: place the workload with the scheme, then
-// submit Requests sampled requests.
+// submit Requests sampled requests per seed.
 type Run struct {
 	Label  string
 	Scheme placement.Scheme
@@ -189,6 +206,9 @@ type Run struct {
 	// X is the experiment's independent variable at this point (m, α,
 	// request GB, library count, ...), carried through to the row.
 	X float64
+	// Requests is the number of requests simulated per seed; 0 means
+	// Config.Requests.
+	Requests int
 }
 
 // Row is the outcome of one Run.
@@ -255,8 +275,33 @@ func (pc *placeCache) place(r Run) (*placement.Result, error) {
 	return e.pr, e.err
 }
 
-// execute performs one run start to finish. pc may be nil (no memoization).
-func (c Config) execute(r Run, pc *placeCache) Row {
+// requests returns how many requests r simulates per seed.
+func (c Config) requests(r Run) int {
+	switch {
+	case r.Requests > 0:
+		return r.Requests
+	case c.Requests > 0:
+		return c.Requests
+	}
+	return 200
+}
+
+func (c Config) seeds() int {
+	return max(c.Seeds, 1)
+}
+
+// clusterings returns the memo a batch resolves its clusterings through.
+func (c Config) clusterings() clusterMemo {
+	if c.memo != nil {
+		return c.memo
+	}
+	return clusterMemo{}
+}
+
+// execute performs one run start to finish, taking the run's clustering
+// from cl (nil: the scheme clusters nothing, or itself). pc may be nil (no
+// memoization).
+func (c Config) execute(r Run, cl *clusterEntry, pc *placeCache) Row {
 	row := Row{Label: r.Label, Scheme: r.Scheme.Name(), X: r.X}
 	if r.Opts.Faults == nil {
 		r.Opts.Faults = c.Faults
@@ -264,20 +309,19 @@ func (c Config) execute(r Run, pc *placeCache) Row {
 	if r.Opts.RequestTimeout == 0 {
 		r.Opts.RequestTimeout = c.RequestTimeout
 	}
+	var err error
+	if r.Scheme, err = cl.resolve(r); err != nil {
+		row.Err = fmt.Errorf("place: %w", err)
+		return row
+	}
 	pr, err := pc.place(r)
 	if err != nil {
 		row.Err = fmt.Errorf("place: %w", err)
 		return row
 	}
 	row.TapesUsed = pr.TapesUsed
-	n := c.Requests
-	if n <= 0 {
-		n = 200
-	}
-	seeds := c.Seeds
-	if seeds <= 0 {
-		seeds = 1
-	}
+	n := c.requests(r)
+	seeds := c.seeds()
 	ms := make([]tapesys.RequestMetrics, 0, n*seeds)
 	// One System serves every seed: Reset replays the placement's initial
 	// state on the same engine, so the event queue, grouping arenas, and
@@ -323,19 +367,19 @@ func (c Config) RunAll(runs []Run) []Row {
 		// scrape mid-sweep sees a stable denominator. Targets accumulate
 		// across sequential sweeps sharing one collector (tapebench
 		// -experiment all).
-		n := c.Requests
-		if n <= 0 {
-			n = 200
-		}
-		seeds := c.Seeds
-		if seeds <= 0 {
-			seeds = 1
+		var reqs int
+		for _, r := range runs {
+			reqs += c.requests(r) * c.seeds()
 		}
 		c.Telemetry.RunsTarget.Add(int64(len(runs)))
-		c.Telemetry.RequestsTarget.Add(int64(len(runs) * n * seeds))
+		c.Telemetry.RequestsTarget.Add(int64(reqs))
 	}
 	rows := make([]Row, len(runs))
 	pc := newPlaceCache()
+	// The batch's distinct clusterings are the pool's first tasks, so the
+	// workers compute them side by side; a run whose clustering another
+	// worker still computes waits on that entry alone.
+	entries, first := c.clusterings().claims(runs)
 	// Job dispatch is an atomic claim counter: workers pull the next index
 	// lock-free until the list is drained, with no dispatcher goroutine
 	// and no per-job channel operation.
@@ -347,10 +391,15 @@ func (c Config) RunAll(runs []Run) []Row {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(runs) {
+				if i < len(first) {
+					// A failed clustering reaches the rows that need it.
+					_, _ = entries[first[i]].get(runs[first[i]])
+					continue
+				}
+				if i -= len(first); i >= len(runs) {
 					return
 				}
-				rows[i] = c.execute(runs[i], pc)
+				rows[i] = c.execute(runs[i], entries[i], pc)
 				if c.Telemetry != nil {
 					c.Telemetry.RunsCompleted.Inc()
 				}
@@ -361,19 +410,13 @@ func (c Config) RunAll(runs []Run) []Row {
 	return rows
 }
 
-// clusterOnce computes the default clustering for w a single time so both
-// cluster-using schemes share it.
-func clusterOnce(w *model.Workload) (*cluster.Result, error) {
-	return cluster.Run(w, cluster.DefaultConfig())
-}
-
-// threeSchemes returns the paper's three comparison schemes, sharing a
-// precomputed clustering.
-func (c Config) threeSchemes(cl *cluster.Result) []placement.Scheme {
+// threeSchemes returns the paper's three comparison schemes. The runner
+// clusters each workload once for the two that cluster.
+func (c Config) threeSchemes() []placement.Scheme {
 	return []placement.Scheme{
 		placement.ObjectProbability{K: c.K},
-		placement.ClusterProbability{K: c.K, Precomputed: cl},
-		placement.ParallelBatch{M: c.M, K: c.K, Precomputed: cl},
+		placement.ClusterProbability{K: c.K},
+		placement.ParallelBatch{M: c.M, K: c.K},
 	}
 }
 

@@ -14,31 +14,45 @@ import (
 	"paralleltape/internal/tape"
 )
 
-// sweepJSON renders the full sweep (every exhibit) to one JSON blob — the
-// byte-level identity carrier for the determinism tests.
-func sweepJSON(t *testing.T, cfg Config) []byte {
+// exhibitJSON renders one exhibit's rows as JSON, failing on a run error.
+func exhibitJSON(t *testing.T, rep *Report) []byte {
+	t.Helper()
+	if err := rep.Err(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// sweepJSON renders the full sweep (every exhibit) to JSON, one blob per
+// exhibit in paper order — the byte-level identity carrier for the
+// determinism tests. It also returns the exhibit IDs.
+func sweepJSON(t *testing.T, cfg Config) (ids []string, exhibits [][]byte) {
 	t.Helper()
 	reps, err := All(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
 	for _, rep := range reps {
-		if err := rep.Err(); err != nil {
-			t.Fatal(err)
-		}
-		if err := rep.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
+		ids = append(ids, rep.ID)
+		exhibits = append(exhibits, exhibitJSON(t, rep))
 	}
-	return buf.Bytes()
+	return ids, exhibits
 }
 
 // TestSweepDeterminismAcrossWorkers is the sweep-level half of the
 // determinism contract: the full Quick sweep's report JSON must be
 // byte-identical at every worker count — run parallelism may not change a
 // single byte of any exhibit. Request count is reduced to keep the
-// sweeps inside the test budget; every exhibit still runs.
+// sweeps inside the test budget; every exhibit still runs. The fixed
+// count of 3 runs the sweep concurrently even where GOMAXPROCS is 1.
+//
+// All shares clusterings across exhibits, which an exhibit run alone does
+// not, so each exhibit built by ByID must also equal its part of the
+// serial sweep.
 //
 // The serial sweep is also compared with a committed golden, so any change
 // to any exhibit shows up as a diff of testdata/. The race build runs
@@ -46,12 +60,12 @@ func sweepJSON(t *testing.T, cfg Config) []byte {
 // golden`) rewrites the golden of the build that runs.
 func TestSweepDeterminismAcrossWorkers(t *testing.T) {
 	if testing.Short() {
-		t.Skip("3 full sweeps; skipped in -short")
+		t.Skip("5 full sweeps; skipped in -short")
 	}
 	cfg := Quick()
 	cfg.Requests = 8
 	cfg.Seeds = 1
-	workerCounts := []int{1, runtime.GOMAXPROCS(0)}
+	workerCounts := []int{1, 3, runtime.GOMAXPROCS(0)}
 	if raceEnabled {
 		// The race detector slows the sweep ~10x; one parallel sweep
 		// against the serial baseline still crosses every goroutine
@@ -62,7 +76,8 @@ func TestSweepDeterminismAcrossWorkers(t *testing.T) {
 
 	base := cfg
 	base.Workers = 1
-	want := sweepJSON(t, base)
+	ids, serial := sweepJSON(t, base)
+	want := bytes.Join(serial, nil)
 	golden := filepath.Join("testdata", fmt.Sprintf("sweep_quick_r%d.json", cfg.Requests))
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.WriteFile(golden, want, 0o644); err != nil {
@@ -80,8 +95,20 @@ func TestSweepDeterminismAcrossWorkers(t *testing.T) {
 	for _, workers := range workerCounts {
 		c := cfg
 		c.Workers = workers
-		if got := sweepJSON(t, c); !bytes.Equal(got, want) {
-			t.Errorf("sweep JSON diverges at workers=%d (%d vs %d bytes)", workers, len(got), len(want))
+		if _, got := sweepJSON(t, c); !bytes.Equal(bytes.Join(got, nil), want) {
+			t.Errorf("sweep JSON diverges at workers=%d", workers)
+		}
+	}
+
+	c := cfg
+	c.Workers = workerCounts[len(workerCounts)-1]
+	for i, id := range ids {
+		rep, err := ByID(id, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := exhibitJSON(t, rep); !bytes.Equal(got, serial[i]) {
+			t.Errorf("ByID(%q) JSON differs from its part of the serial sweep (%d vs %d bytes)", id, len(got), len(serial[i]))
 		}
 	}
 }
