@@ -27,20 +27,57 @@ func exhibitJSON(t *testing.T, rep *Report) []byte {
 	return buf.Bytes()
 }
 
-// sweepJSON renders the full sweep (every exhibit) to JSON, one blob per
-// exhibit in paper order — the byte-level identity carrier for the
-// determinism tests. It also returns the exhibit IDs.
-func sweepJSON(t *testing.T, cfg Config) (ids []string, exhibits [][]byte) {
+// renderedSweep is the full sweep (every exhibit, paper order) rendered
+// the ways tapebench prints it.
+type renderedSweep struct {
+	ids []string
+	// exhibits holds each exhibit's report JSON, the byte-level identity
+	// carrier for the determinism tests.
+	exhibits [][]byte
+	// text and csv are every exhibit's table, aligned as tapebench prints
+	// it (a blank line after each) and as tapebench -csv prints it.
+	text, csv bytes.Buffer
+}
+
+// renderSweep runs All and renders its reports.
+func renderSweep(t *testing.T, cfg Config) *renderedSweep {
 	t.Helper()
 	reps, err := All(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := &renderedSweep{}
 	for _, rep := range reps {
-		ids = append(ids, rep.ID)
-		exhibits = append(exhibits, exhibitJSON(t, rep))
+		s.ids = append(s.ids, rep.ID)
+		s.exhibits = append(s.exhibits, exhibitJSON(t, rep))
+		if err := rep.Table.Render(&s.text); err != nil {
+			t.Fatal(err)
+		}
+		s.text.WriteByte('\n')
+		if err := rep.Table.RenderCSV(&s.csv); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return ids, exhibits
+	return s
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file when
+// UPDATE_GOLDEN is set.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("golden %s updated (%d bytes)", golden, len(got))
+	} else if prev, err := os.ReadFile(golden); err != nil {
+		t.Fatalf("read golden (regenerate with UPDATE_GOLDEN=1): %v", err)
+	} else if !bytes.Equal(got, prev) {
+		t.Errorf("serial sweep output differs from %s (%d vs %d bytes): an exhibit changed.\n"+
+			"If intentional, regenerate with UPDATE_GOLDEN=1 and record the change in EXPERIMENTS.md.",
+			golden, len(got), len(prev))
+	}
 }
 
 // TestSweepDeterminismAcrossWorkers is the sweep-level half of the
@@ -54,10 +91,11 @@ func sweepJSON(t *testing.T, cfg Config) (ids []string, exhibits [][]byte) {
 // not, so each exhibit built by ByID must also equal its part of the
 // serial sweep.
 //
-// The serial sweep is also compared with a committed golden, so any change
-// to any exhibit shows up as a diff of testdata/. The race build runs
-// fewer requests and has a golden of its own. UPDATE_GOLDEN=1 (or `make
-// golden`) rewrites the golden of the build that runs.
+// The serial sweep's JSON, text tables and CSV tables are also compared
+// with committed goldens, so any change to any exhibit, or to how its
+// table renders, shows up as a diff of testdata/. The race build runs
+// fewer requests and has goldens of its own. UPDATE_GOLDEN=1 (or `make
+// golden`) rewrites the goldens of the build that runs.
 func TestSweepDeterminismAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("5 full sweeps; skipped in -short")
@@ -76,39 +114,30 @@ func TestSweepDeterminismAcrossWorkers(t *testing.T) {
 
 	base := cfg
 	base.Workers = 1
-	ids, serial := sweepJSON(t, base)
-	want := bytes.Join(serial, nil)
-	golden := filepath.Join("testdata", fmt.Sprintf("sweep_quick_r%d.json", cfg.Requests))
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(golden, want, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("sweep golden updated (%d bytes)", len(want))
-	} else if prev, err := os.ReadFile(golden); err != nil {
-		t.Fatalf("read golden (regenerate with UPDATE_GOLDEN=1): %v", err)
-	} else if !bytes.Equal(want, prev) {
-		t.Errorf("serial sweep JSON differs from %s (%d vs %d bytes): an exhibit changed.\n"+
-			"If intentional, regenerate with UPDATE_GOLDEN=1 and record the change in EXPERIMENTS.md.",
-			golden, len(want), len(prev))
-	}
+	serial := renderSweep(t, base)
+	want := bytes.Join(serial.exhibits, nil)
+	name := fmt.Sprintf("sweep_quick_r%d", cfg.Requests)
+	checkGolden(t, name+".json", want)
+	checkGolden(t, name+".txt", serial.text.Bytes())
+	checkGolden(t, name+".csv", serial.csv.Bytes())
 
 	for _, workers := range workerCounts {
 		c := cfg
 		c.Workers = workers
-		if _, got := sweepJSON(t, c); !bytes.Equal(bytes.Join(got, nil), want) {
+		if got := renderSweep(t, c); !bytes.Equal(bytes.Join(got.exhibits, nil), want) {
 			t.Errorf("sweep JSON diverges at workers=%d", workers)
 		}
 	}
 
 	c := cfg
 	c.Workers = workerCounts[len(workerCounts)-1]
-	for i, id := range ids {
+	for i, id := range serial.ids {
 		rep, err := ByID(id, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := exhibitJSON(t, rep); !bytes.Equal(got, serial[i]) {
-			t.Errorf("ByID(%q) JSON differs from its part of the serial sweep (%d vs %d bytes)", id, len(got), len(serial[i]))
+		if got := exhibitJSON(t, rep); !bytes.Equal(got, serial.exhibits[i]) {
+			t.Errorf("ByID(%q) JSON differs from its part of the serial sweep (%d vs %d bytes)", id, len(got), len(serial.exhibits[i]))
 		}
 	}
 }
