@@ -2,10 +2,10 @@
 # check.sh — the repository's verification gate (same steps as `make check`):
 # build everything, vet everything, fail if gofmt would reformat any .go
 # file of the main module's packages or of perfbench/ (a module of its own),
-# run the full test suite under the race detector, and run the doc lints
+# run the full test suite under the race detector, and run the doc lint
 # (every exported identifier in internal/trace, internal/faults,
-# internal/spans, and the internal/sim kernel must carry a doc comment, plus
-# a package-level comment; see the doclint_test.go in each package).
+# internal/spans, and the internal/sim kernel must carry a doc comment, and
+# each package a package-level comment; see doclint_test.go at the root).
 set -eu
 
 echo "== go build ./..."
@@ -28,6 +28,6 @@ echo "== go test -race ./..."
 go test -race ./...
 
 echo "== doc lint (internal/trace + internal/faults + internal/spans + internal/sim exported identifiers)"
-go test ./internal/trace ./internal/faults ./internal/spans ./internal/sim -run TestExportedIdentifiersHaveDocComments -count=1
+go test . -run TestExportedIdentifiersHaveDocComments -count=1
 
 echo "check: OK"

@@ -28,9 +28,11 @@ import (
 	"runtime"
 	"runtime/metrics"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"paralleltape"
+	"paralleltape/internal/experiments"
 	pmetrics "paralleltape/internal/metrics"
 	"paralleltape/internal/telemetry"
 )
@@ -38,15 +40,11 @@ import (
 func main() {
 	var (
 		experiment = flag.String("experiment", "all",
-			"which exhibit to regenerate: all, table1, fig5, fig6, fig7, fig8, fig9, tech, robustness, ablation, striping, online, scheduler, sensitivity, chaos")
-		quick    = flag.Bool("quick", false, "reduced-scale configuration (fast)")
-		seed     = flag.Uint64("seed", 0, "override the experiment seed (0 keeps the default)")
-		requests = flag.Int("requests", 0, "override simulated requests per run (0 keeps the default)")
-		workers  = flag.Int("workers", 0, "parallel run workers (0 = GOMAXPROCS)")
-		shards   = flag.Int("shards", 0,
-			"ignored, kept for one release: every simulated system runs one engine (a negative value is still an error)")
-		_ = flag.Bool("pipeline", false,
-			"ignored, kept for one release: every run submits its requests one at a time")
+			"which exhibit to regenerate: all, "+strings.Join(experiments.IDs(), ", "))
+		quick       = flag.Bool("quick", false, "reduced-scale configuration (fast)")
+		seed        = flag.Uint64("seed", 0, "override the experiment seed (0 keeps the default)")
+		requests    = flag.Int("requests", 0, "override simulated requests per run (0 keeps the default)")
+		workers     = flag.Int("workers", 0, "parallel run workers (0 = GOMAXPROCS)")
 		csv         = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		chart       = flag.Bool("chart", false, "append a bandwidth bar chart to each exhibit")
 		jsonOut     = flag.String("json", "", "write a machine-readable benchmark-result document (schema tapebench/bench-result/v1) to this file (- for stdout)")
@@ -147,10 +145,6 @@ func main() {
 		cfg.Requests = *requests
 	}
 	cfg.Workers = *workers
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "tapebench: negative -shards %d\n", *shards)
-		os.Exit(2)
-	}
 	if *faultsOn {
 		cfg.Faults = &paralleltape.FaultProfile{
 			Seed:              cfg.Seed ^ 0xFA17,

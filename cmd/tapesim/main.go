@@ -54,7 +54,6 @@ type options struct {
 	tapes       int
 	capacity    string
 	rate        string
-	shards      int // ignored -shards; a negative value is still an error
 	target      string
 	workload    string        // JSON workload trace to load instead of generating
 	tracePath   string        // structured event trace export (.jsonl or .csv)
@@ -112,10 +111,6 @@ func bindFlags(fs *flag.FlagSet, o *options) {
 	fs.IntVar(&o.tapes, "tapes", 80, "tapes per library")
 	fs.StringVar(&o.capacity, "capacity", "400GB", "cartridge capacity")
 	fs.StringVar(&o.rate, "rate", "80MB", "native transfer rate (bytes/s)")
-	fs.IntVar(&o.shards, "shards", 0,
-		"ignored, kept for one release: the simulator always runs one engine (a negative value is still an error)")
-	_ = fs.Bool("pipeline", false,
-		"ignored, kept for one release: requests are always submitted one at a time")
 	fs.StringVar(&o.target, "request-size", "", "rescale object sizes to this mean request size (e.g. 213GB)")
 	fs.StringVar(&o.workload, "workload", "", "load workload from a JSON trace instead of generating")
 	fs.StringVar(&o.tracePath, "trace", "", "write the structured event trace to this file (JSONL; .csv extension switches to CSV)")
@@ -153,9 +148,6 @@ func isCSVPath(path string) bool {
 }
 
 func run(o options) error {
-	if o.shards < 0 {
-		return fmt.Errorf("negative -shards %d", o.shards)
-	}
 	// Create every output destination first, so an unwritable or
 	// uncreatable path fails in milliseconds at flag-handling time rather
 	// than after the simulation completes.

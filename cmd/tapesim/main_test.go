@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"io"
 	"net/http"
 	"os"
@@ -61,60 +60,12 @@ func TestRunFlagsVariants(t *testing.T) {
 	}
 }
 
-// captureStdout runs f with os.Stdout redirected and returns what it wrote.
-func captureStdout(t *testing.T, f func() error) string {
-	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	ferr := f()
-	w.Close()
-	os.Stdout = old
-	out, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ferr != nil {
-		t.Fatal(ferr)
-	}
-	return string(out)
-}
-
-// TestRunPipelineMatchesSubmit checks the ignored -shards and -pipeline
-// flags still parse and change nothing: a run with both prints
-// byte-identical output to the default run.
-func TestRunPipelineMatchesSubmit(t *testing.T) {
-	small := []string{"-m", "2", "-epochs", "2", "-requests", "5", "-seed", "1",
-		"-objects", "300", "-predefined", "15", "-libraries", "2", "-drives", "4",
-		"-tapes", "16", "-capacity", "20GB", "-csv"}
-	runArgs := func(extra ...string) string {
-		var o options
-		fs := flag.NewFlagSet("tapesim", flag.ContinueOnError)
-		bindFlags(fs, &o)
-		if err := fs.Parse(append(small, extra...)); err != nil {
-			t.Fatal(err)
-		}
-		return captureStdout(t, func() error { return run(o) })
-	}
-	plain := runArgs()
-	flagged := runArgs("-shards", "2", "-pipeline")
-	if plain != flagged {
-		t.Errorf("-shards 2 -pipeline output diverges:\n--- default ---\n%s--- flagged ---\n%s", plain, flagged)
-	}
-}
-
 func TestRunBadInputs(t *testing.T) {
 	if err := runSmall(t, "parallel-batch", func(o *options) { o.capacity = "12XB" }); err == nil {
 		t.Error("bad capacity accepted")
 	}
 	if err := runSmall(t, "parallel-batch", func(o *options) { o.rate = "" }); err == nil {
 		t.Error("bad rate accepted")
-	}
-	if err := runSmall(t, "parallel-batch", func(o *options) { o.shards = -1 }); err == nil {
-		t.Error("negative -shards accepted")
 	}
 	if err := runSmall(t, "parallel-batch", func(o *options) { o.target = "zzz" }); err == nil {
 		t.Error("bad target accepted")

@@ -12,7 +12,6 @@ import (
 
 	"paralleltape/internal/dist"
 	"paralleltape/internal/faults"
-	"paralleltape/internal/metrics"
 	"paralleltape/internal/tapesys"
 )
 
@@ -75,20 +74,15 @@ func Chaos(cfg Config) (*Report, error) {
 		}
 	}
 	rows := cfg.RunAll(runs)
-	t := metrics.NewTable(
-		"Degraded-mode sweep: scheme comparison under increasing failure rates",
-		"failure rate", "scheme", "bandwidth MB/s", "goodput MB/s", "avail %",
-		"retries/req", "failed groups")
-	for _, r := range rows {
-		if r.Err != nil {
-			t.AddRow(r.Label, r.Scheme, "ERROR: "+r.Err.Error())
-			continue
-		}
-		t.AddRow(r.Label, r.Scheme,
-			mbps(r.Stats.MeanBandwidth), mbps(r.Stats.MeanGoodput),
-			fmt.Sprintf("%.2f", 100*r.Stats.Availability),
-			fmt.Sprintf("%.2f", r.Stats.MeanRetries),
-			fmt.Sprintf("%d", r.Stats.FailedGroups))
-	}
+	t := table("Degraded-mode sweep: scheme comparison under increasing failure rates",
+		[]string{"failure rate", "scheme", "bandwidth MB/s", "goodput MB/s", "avail %",
+			"retries/req", "failed groups"}, 2, rows,
+		func(r Row) []string {
+			return []string{r.Label, r.Scheme,
+				mbps(r.Stats.MeanBandwidth), mbps(r.Stats.MeanGoodput),
+				fmt.Sprintf("%.2f", 100*r.Stats.Availability),
+				fmt.Sprintf("%.2f", r.Stats.MeanRetries),
+				fmt.Sprintf("%d", r.Stats.FailedGroups)}
+		})
 	return &Report{ID: "chaos", Caption: "Degraded-mode scheme comparison", Table: t, Rows: rows}, nil
 }

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -403,6 +405,19 @@ func TestReportErrPropagation(t *testing.T) {
 	rep.Rows = append(rep.Rows, Row{Label: "bad", Scheme: "s", Err: errBoom{}})
 	if rep.Err() == nil {
 		t.Error("error row not propagated")
+	}
+}
+
+// TestTableErrorRow checks the one error-row rule every exhibit renders
+// through: a failed run keeps its label cells, then "ERROR: …".
+func TestTableErrorRow(t *testing.T) {
+	rows := []Row{{Label: "ok", Scheme: "s", X: 1}, {Label: "bad", Scheme: "s", X: 2, Err: errBoom{}}}
+	tab := table("title", []string{"x", "label", "value", "more"}, 2, rows, func(r Row) []string {
+		return []string{fmt.Sprintf("%.0f", r.X), r.Label, "v", "w"}
+	})
+	want := [][]string{{"1", "ok", "v", "w"}, {"2", "bad", "ERROR: boom", ""}}
+	if !reflect.DeepEqual(tab.Rows, want) {
+		t.Errorf("table rows = %q, want %q", tab.Rows, want)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"paralleltape/internal/cluster"
-	"paralleltape/internal/metrics"
 	"paralleltape/internal/placement"
 	"paralleltape/internal/tapesys"
 	"paralleltape/internal/units"
@@ -49,17 +48,12 @@ func Striping(cfg Config) (*Report, error) {
 		})
 	}
 	rows := cfg.RunAll(runs)
-	t := metrics.NewTable(
-		"Striping comparison (§2): parallel batch vs. RAIT-style striped placement",
-		"placement", "bandwidth MB/s", "avg response s", "switch s", "tapes/req")
-	for _, r := range rows {
-		if r.Err != nil {
-			t.AddRow(r.Label, "ERROR: "+r.Err.Error())
-			continue
-		}
-		t.AddRow(r.Label, mbps(r.Stats.MeanBandwidth), secs(r.Stats.MeanResponse),
-			secs(r.Stats.MeanSwitch), fmt.Sprintf("%.1f", r.Stats.MeanTapes))
-	}
+	t := table("Striping comparison (§2): parallel batch vs. RAIT-style striped placement",
+		[]string{"placement", "bandwidth MB/s", "avg response s", "switch s", "tapes/req"}, 1, rows,
+		func(r Row) []string {
+			return []string{r.Label, mbps(r.Stats.MeanBandwidth), secs(r.Stats.MeanResponse),
+				secs(r.Stats.MeanSwitch), fmt.Sprintf("%.1f", r.Stats.MeanTapes)}
+		})
 	return &Report{ID: "striping", Caption: "Striped vs. parallel batch placement", Table: t, Rows: rows}, nil
 }
 
@@ -89,17 +83,12 @@ func Online(cfg Config) (*Report, error) {
 		})
 	}
 	rows := cfg.RunAll(runs)
-	t := metrics.NewTable(
-		"Online placement (§7 future work): per-epoch local knowledge vs. full knowledge",
-		"placement", "bandwidth MB/s", "avg response s", "switch s", "switches/req")
-	for _, r := range rows {
-		if r.Err != nil {
-			t.AddRow(r.Label, "ERROR: "+r.Err.Error())
-			continue
-		}
-		t.AddRow(r.Label, mbps(r.Stats.MeanBandwidth), secs(r.Stats.MeanResponse),
-			secs(r.Stats.MeanSwitch), fmt.Sprintf("%.1f", r.Stats.MeanSwitches))
-	}
+	t := table("Online placement (§7 future work): per-epoch local knowledge vs. full knowledge",
+		[]string{"placement", "bandwidth MB/s", "avg response s", "switch s", "switches/req"}, 1, rows,
+		func(r Row) []string {
+			return []string{r.Label, mbps(r.Stats.MeanBandwidth), secs(r.Stats.MeanResponse),
+				secs(r.Stats.MeanSwitch), fmt.Sprintf("%.1f", r.Stats.MeanSwitches)}
+		})
 	return &Report{ID: "online", Caption: "Online vs. offline parallel batch placement", Table: t, Rows: rows}, nil
 }
 
@@ -126,17 +115,12 @@ func Scheduler(cfg Config) (*Report, error) {
 		}
 	}
 	rows := cfg.RunAll(runs)
-	t := metrics.NewTable(
-		"Scheduler policy sweep (parallel batch placement)",
-		"pending / victim", "bandwidth MB/s", "avg response s", "switch s", "robot wait s")
-	for _, r := range rows {
-		if r.Err != nil {
-			t.AddRow(r.Label, "ERROR: "+r.Err.Error())
-			continue
-		}
-		t.AddRow(r.Label, mbps(r.Stats.MeanBandwidth), secs(r.Stats.MeanResponse),
-			secs(r.Stats.MeanSwitch), secs(r.Stats.MeanRobotWait))
-	}
+	t := table("Scheduler policy sweep (parallel batch placement)",
+		[]string{"pending / victim", "bandwidth MB/s", "avg response s", "switch s", "robot wait s"}, 1, rows,
+		func(r Row) []string {
+			return []string{r.Label, mbps(r.Stats.MeanBandwidth), secs(r.Stats.MeanResponse),
+				secs(r.Stats.MeanSwitch), secs(r.Stats.MeanRobotWait)}
+		})
 	return &Report{ID: "scheduler", Caption: "Scheduling policy sweep", Table: t, Rows: rows}, nil
 }
 
@@ -179,16 +163,11 @@ func Sensitivity(cfg Config) (*Report, error) {
 		})
 	}
 	rows := cfg.RunAll(runs)
-	t := metrics.NewTable(
-		"Clustering sensitivity (linkage / threshold vs. the auto setting)",
-		"linkage / threshold", "bandwidth MB/s", "avg response s", "switch s", "tapes/req")
-	for _, r := range rows {
-		if r.Err != nil {
-			t.AddRow(r.Label, "ERROR: "+r.Err.Error())
-			continue
-		}
-		t.AddRow(r.Label, mbps(r.Stats.MeanBandwidth), secs(r.Stats.MeanResponse),
-			secs(r.Stats.MeanSwitch), fmt.Sprintf("%.1f", r.Stats.MeanTapes))
-	}
+	t := table("Clustering sensitivity (linkage / threshold vs. the auto setting)",
+		[]string{"linkage / threshold", "bandwidth MB/s", "avg response s", "switch s", "tapes/req"}, 1, rows,
+		func(r Row) []string {
+			return []string{r.Label, mbps(r.Stats.MeanBandwidth), secs(r.Stats.MeanResponse),
+				secs(r.Stats.MeanSwitch), fmt.Sprintf("%.1f", r.Stats.MeanTapes)}
+		})
 	return &Report{ID: "sensitivity", Caption: "Clustering parameter sensitivity", Table: t, Rows: rows}, nil
 }

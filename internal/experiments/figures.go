@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"paralleltape/internal/cluster"
 	"paralleltape/internal/metrics"
@@ -64,18 +65,13 @@ func Fig5(cfg Config) (*Report, error) {
 		}
 	}
 	rows := cfg.RunAll(runs)
-	t := metrics.NewTable(
-		"Figure 5. Bandwidth vs. number of drives used for tape switch (parallel batch placement)",
-		"m", "alpha", "bandwidth MB/s", "avg response s", "avg switch s", "switches/req")
-	for _, r := range rows {
-		if r.Err != nil {
-			t.AddRow(fmt.Sprintf("%.0f", r.X), r.Label, "ERROR: "+r.Err.Error())
-			continue
-		}
-		t.AddRow(fmt.Sprintf("%.0f", r.X), r.Label, mbps(r.Stats.MeanBandwidth),
-			secs(r.Stats.MeanResponse), secs(r.Stats.MeanSwitch),
-			fmt.Sprintf("%.1f", r.Stats.MeanSwitches))
-	}
+	t := table("Figure 5. Bandwidth vs. number of drives used for tape switch (parallel batch placement)",
+		[]string{"m", "alpha", "bandwidth MB/s", "avg response s", "avg switch s", "switches/req"}, 2, rows,
+		func(r Row) []string {
+			return []string{fmt.Sprintf("%.0f", r.X), r.Label, mbps(r.Stats.MeanBandwidth),
+				secs(r.Stats.MeanResponse), secs(r.Stats.MeanSwitch),
+				fmt.Sprintf("%.1f", r.Stats.MeanSwitches)}
+		})
 	return &Report{
 		ID:      "fig5",
 		Caption: "Bandwidth vs. number of switch drives m",
@@ -111,17 +107,12 @@ func Fig6(cfg Config) (*Report, error) {
 		}
 	}
 	rows := cfg.RunAll(runs)
-	t := metrics.NewTable(
-		"Figure 6. Bandwidth vs. alpha (avg request ≈ 213 GB)",
-		"alpha", "scheme", "bandwidth MB/s", "avg response s", "avg switch s")
-	for _, r := range rows {
-		if r.Err != nil {
-			t.AddRow(fmt.Sprintf("%.1f", r.X), r.Scheme, "ERROR: "+r.Err.Error())
-			continue
-		}
-		t.AddRow(fmt.Sprintf("%.1f", r.X), r.Scheme, mbps(r.Stats.MeanBandwidth),
-			secs(r.Stats.MeanResponse), secs(r.Stats.MeanSwitch))
-	}
+	t := table("Figure 6. Bandwidth vs. alpha (avg request ≈ 213 GB)",
+		[]string{"alpha", "scheme", "bandwidth MB/s", "avg response s", "avg switch s"}, 2, rows,
+		func(r Row) []string {
+			return []string{fmt.Sprintf("%.1f", r.X), r.Scheme, mbps(r.Stats.MeanBandwidth),
+				secs(r.Stats.MeanResponse), secs(r.Stats.MeanSwitch)}
+		})
 	return &Report{ID: "fig6", Caption: "Bandwidth vs. alpha", Table: t, Rows: rows}, nil
 }
 
@@ -175,21 +166,16 @@ func Fig7(cfg Config) (*Report, error) {
 		})
 	}
 	rows := cfg.RunAll(runs)
-	t := metrics.NewTable(
-		"Figure 7. Bandwidth vs. average request size",
-		"request", "scheme", "bandwidth MB/s", "avg response s", "switch s", "transfer share")
-	for _, r := range rows {
-		if r.Err != nil {
-			t.AddRow(r.Label, r.Scheme, "ERROR: "+r.Err.Error())
-			continue
-		}
-		share := 0.0
-		if r.Stats.MeanResponse > 0 {
-			share = r.Stats.MeanTransfer / r.Stats.MeanResponse
-		}
-		t.AddRow(r.Label, r.Scheme, mbps(r.Stats.MeanBandwidth),
-			secs(r.Stats.MeanResponse), secs(r.Stats.MeanSwitch), units.Percent(share))
-	}
+	t := table("Figure 7. Bandwidth vs. average request size",
+		[]string{"request", "scheme", "bandwidth MB/s", "avg response s", "switch s", "transfer share"}, 2, rows,
+		func(r Row) []string {
+			share := 0.0
+			if r.Stats.MeanResponse > 0 {
+				share = r.Stats.MeanTransfer / r.Stats.MeanResponse
+			}
+			return []string{r.Label, r.Scheme, mbps(r.Stats.MeanBandwidth),
+				secs(r.Stats.MeanResponse), secs(r.Stats.MeanSwitch), units.Percent(share)}
+		})
 	return &Report{ID: "fig7", Caption: "Bandwidth vs. average request size", Table: t, Rows: rows}, nil
 }
 
@@ -252,17 +238,12 @@ func Fig8(cfg Config) (*Report, error) {
 		}
 	}
 	rows := cfg.RunAll(runs)
-	t := metrics.NewTable(
-		"Figure 8. Bandwidth vs. number of tape libraries (avg request ≈ 240 GB)",
-		"libraries", "scheme", "bandwidth MB/s", "avg response s", "drives used/req")
-	for _, r := range rows {
-		if r.Err != nil {
-			t.AddRow(fmt.Sprintf("%.0f", r.X), r.Scheme, "ERROR: "+r.Err.Error())
-			continue
-		}
-		t.AddRow(fmt.Sprintf("%.0f", r.X), r.Scheme, mbps(r.Stats.MeanBandwidth),
-			secs(r.Stats.MeanResponse), fmt.Sprintf("%.1f", r.Stats.MeanDrivesUsed))
-	}
+	t := table("Figure 8. Bandwidth vs. number of tape libraries (avg request ≈ 240 GB)",
+		[]string{"libraries", "scheme", "bandwidth MB/s", "avg response s", "drives used/req"}, 2, rows,
+		func(r Row) []string {
+			return []string{fmt.Sprintf("%.0f", r.X), r.Scheme, mbps(r.Stats.MeanBandwidth),
+				secs(r.Stats.MeanResponse), fmt.Sprintf("%.1f", r.Stats.MeanDrivesUsed)}
+		})
 	return &Report{ID: "fig8", Caption: "Bandwidth vs. number of tape libraries", Table: t, Rows: rows}, nil
 }
 
@@ -281,24 +262,19 @@ func Fig9(cfg Config) (*Report, error) {
 		runs = append(runs, Run{Label: "components", Scheme: sch, W: w, HW: cfg.HW})
 	}
 	rows := cfg.RunAll(runs)
-	t := metrics.NewTable(
-		"Figure 9. Response time component comparison (avg request ≈ 160 GB)",
-		"scheme", "switch s", "seek s", "transfer s", "response s", "switch share", "transfer share")
-	for _, r := range rows {
-		if r.Err != nil {
-			t.AddRow(r.Scheme, "ERROR: "+r.Err.Error())
-			continue
-		}
-		resp := r.Stats.MeanResponse
-		switchShare, xferShare := 0.0, 0.0
-		if resp > 0 {
-			switchShare = r.Stats.MeanSwitch / resp
-			xferShare = r.Stats.MeanTransfer / resp
-		}
-		t.AddRow(r.Scheme, secs(r.Stats.MeanSwitch), secs(r.Stats.MeanSeek),
-			secs(r.Stats.MeanTransfer), secs(resp),
-			units.Percent(switchShare), units.Percent(xferShare))
-	}
+	t := table("Figure 9. Response time component comparison (avg request ≈ 160 GB)",
+		[]string{"scheme", "switch s", "seek s", "transfer s", "response s", "switch share", "transfer share"}, 1, rows,
+		func(r Row) []string {
+			resp := r.Stats.MeanResponse
+			switchShare, xferShare := 0.0, 0.0
+			if resp > 0 {
+				switchShare = r.Stats.MeanSwitch / resp
+				xferShare = r.Stats.MeanTransfer / resp
+			}
+			return []string{r.Scheme, secs(r.Stats.MeanSwitch), secs(r.Stats.MeanSeek),
+				secs(r.Stats.MeanTransfer), secs(resp),
+				units.Percent(switchShare), units.Percent(xferShare)}
+		})
 	return &Report{ID: "fig9", Caption: "Response time component comparison", Table: t, Rows: rows}, nil
 }
 
@@ -330,16 +306,11 @@ func Tech(cfg Config) (*Report, error) {
 		}
 	}
 	rows := cfg.RunAll(runs)
-	t := metrics.NewTable(
-		"Technology scaling (§6 closing remark): improved drives/cartridges",
-		"technology", "scheme", "bandwidth MB/s", "avg response s")
-	for _, r := range rows {
-		if r.Err != nil {
-			t.AddRow(r.Label, r.Scheme, "ERROR: "+r.Err.Error())
-			continue
-		}
-		t.AddRow(r.Label, r.Scheme, mbps(r.Stats.MeanBandwidth), secs(r.Stats.MeanResponse))
-	}
+	t := table("Technology scaling (§6 closing remark): improved drives/cartridges",
+		[]string{"technology", "scheme", "bandwidth MB/s", "avg response s"}, 2, rows,
+		func(r Row) []string {
+			return []string{r.Label, r.Scheme, mbps(r.Stats.MeanBandwidth), secs(r.Stats.MeanResponse)}
+		})
 	return &Report{ID: "tech", Caption: "Technology scaling", Table: t, Rows: rows}, nil
 }
 
@@ -386,16 +357,11 @@ func Robustness(cfg Config) (*Report, error) {
 		}
 	}
 	rows := cfg.RunAll(runs)
-	t := metrics.NewTable(
-		"Robustness (§6): relative scheme order under workload variations",
-		"variant", "scheme", "bandwidth MB/s", "avg response s")
-	for _, r := range rows {
-		if r.Err != nil {
-			t.AddRow(r.Label, r.Scheme, "ERROR: "+r.Err.Error())
-			continue
-		}
-		t.AddRow(r.Label, r.Scheme, mbps(r.Stats.MeanBandwidth), secs(r.Stats.MeanResponse))
-	}
+	t := table("Robustness (§6): relative scheme order under workload variations",
+		[]string{"variant", "scheme", "bandwidth MB/s", "avg response s"}, 2, rows,
+		func(r Row) []string {
+			return []string{r.Label, r.Scheme, mbps(r.Stats.MeanBandwidth), secs(r.Stats.MeanResponse)}
+		})
 	return &Report{ID: "robustness", Caption: "Robustness to workload variation", Table: t, Rows: rows}, nil
 }
 
@@ -423,18 +389,35 @@ func Ablation(cfg Config) (*Report, error) {
 		runs = append(runs, Run{Label: v.name, Scheme: v.sch, W: w, HW: cfg.HW})
 	}
 	rows := cfg.RunAll(runs)
-	t := metrics.NewTable(
-		"Ablation: parallel batch placement design choices",
-		"variant", "bandwidth MB/s", "avg response s", "switch s", "seek s", "transfer s")
-	for _, r := range rows {
-		if r.Err != nil {
-			t.AddRow(r.Label, "ERROR: "+r.Err.Error())
-			continue
-		}
-		t.AddRow(r.Label, mbps(r.Stats.MeanBandwidth), secs(r.Stats.MeanResponse),
-			secs(r.Stats.MeanSwitch), secs(r.Stats.MeanSeek), secs(r.Stats.MeanTransfer))
-	}
+	t := table("Ablation: parallel batch placement design choices",
+		[]string{"variant", "bandwidth MB/s", "avg response s", "switch s", "seek s", "transfer s"}, 1, rows,
+		func(r Row) []string {
+			return []string{r.Label, mbps(r.Stats.MeanBandwidth), secs(r.Stats.MeanResponse),
+				secs(r.Stats.MeanSwitch), secs(r.Stats.MeanSeek), secs(r.Stats.MeanTransfer)}
+		})
 	return &Report{ID: "ablation", Caption: "Parallel batch design ablation", Table: t, Rows: rows}, nil
+}
+
+// exhibits is the one list of exhibits, in paper order: All runs them in
+// this order, ByID looks them up, and IDs names them.
+var exhibits = []struct {
+	id    string
+	build func(Config) (*Report, error)
+}{
+	{"table1", Table1}, {"fig5", Fig5}, {"fig6", Fig6}, {"fig7", Fig7},
+	{"fig8", Fig8}, {"fig9", Fig9}, {"tech", Tech},
+	{"robustness", Robustness}, {"ablation", Ablation},
+	{"striping", Striping}, {"online", Online}, {"scheduler", Scheduler},
+	{"sensitivity", Sensitivity}, {"chaos", Chaos}, {"phases", Phases},
+}
+
+// IDs returns the identifier of every exhibit, in the order All runs them.
+func IDs() []string {
+	ids := make([]string, len(exhibits))
+	for i, e := range exhibits {
+		ids[i] = e.id
+	}
+	return ids
 }
 
 // All runs every experiment in paper order. The exhibits share one
@@ -443,62 +426,23 @@ func Ablation(cfg Config) (*Report, error) {
 func All(cfg Config) ([]*Report, error) {
 	cfg.memo = clusterMemo{}
 	defer cluster.ReleaseScratch()
-	type fn struct {
-		name string
-		f    func(Config) (*Report, error)
-	}
-	fns := []fn{
-		{"table1", Table1}, {"fig5", Fig5}, {"fig6", Fig6}, {"fig7", Fig7},
-		{"fig8", Fig8}, {"fig9", Fig9}, {"tech", Tech},
-		{"robustness", Robustness}, {"ablation", Ablation},
-		{"striping", Striping}, {"online", Online}, {"scheduler", Scheduler},
-		{"sensitivity", Sensitivity}, {"chaos", Chaos}, {"phases", Phases},
-	}
 	var out []*Report
-	for _, f := range fns {
-		rep, err := f.f(cfg)
+	for _, e := range exhibits {
+		rep, err := e.build(cfg)
 		if err != nil {
-			return out, fmt.Errorf("experiments: %s: %w", f.name, err)
+			return out, fmt.Errorf("experiments: %s: %w", e.id, err)
 		}
 		out = append(out, rep)
 	}
 	return out, nil
 }
 
-// ByID dispatches one experiment by identifier.
+// ByID dispatches one experiment by identifier (see IDs).
 func ByID(id string, cfg Config) (*Report, error) {
-	switch id {
-	case "table1":
-		return Table1(cfg)
-	case "fig5":
-		return Fig5(cfg)
-	case "fig6":
-		return Fig6(cfg)
-	case "fig7":
-		return Fig7(cfg)
-	case "fig8":
-		return Fig8(cfg)
-	case "fig9":
-		return Fig9(cfg)
-	case "tech":
-		return Tech(cfg)
-	case "robustness":
-		return Robustness(cfg)
-	case "ablation":
-		return Ablation(cfg)
-	case "striping":
-		return Striping(cfg)
-	case "online":
-		return Online(cfg)
-	case "scheduler":
-		return Scheduler(cfg)
-	case "sensitivity":
-		return Sensitivity(cfg)
-	case "chaos":
-		return Chaos(cfg)
-	case "phases":
-		return Phases(cfg)
-	default:
-		return nil, fmt.Errorf("experiments: unknown experiment %q (want table1, fig5..fig9, tech, robustness, ablation, striping, online, scheduler, sensitivity, chaos, phases)", id)
+	for _, e := range exhibits {
+		if e.id == id {
+			return e.build(cfg)
+		}
 	}
+	return nil, fmt.Errorf("experiments: unknown experiment %q (want one of %s)", id, strings.Join(IDs(), ", "))
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
-	"sync"
 
 	"paralleltape/internal/cluster"
 	"paralleltape/internal/model"
@@ -23,7 +22,7 @@ import (
 // Lookups happen on the caller's goroutine, before a batch dispatches
 // (claims), so the map needs no lock; the entries are futures the
 // workers resolve concurrently.
-type clusterMemo map[clusterKey]*clusterEntry
+type clusterMemo map[clusterKey]*future[*cluster.Result]
 
 // clusterKey identifies a clustering: the content digest of the workload
 // (workloadDigest) and the config. Two separately built workloads with
@@ -33,34 +32,13 @@ type clusterKey struct {
 	cfg    cluster.Config
 }
 
-// clusterEntry is one memoized clustering; Once gates the single
-// cluster.Run while runs needing the same key wait on it.
-type clusterEntry struct {
-	once sync.Once
-	res  *cluster.Result
-	err  error
-}
-
-// get returns the clustering of r's workload under its scheme's config,
-// computing it on first use. Every workload whose digest leads to this
-// entry has the same content, so whichever run gets here first clusters.
-func (e *clusterEntry) get(r Run) (*cluster.Result, error) {
+// clustering returns the clustering of r's workload under its scheme's
+// config from e, computing it on first use. Every workload whose digest
+// leads to e has the same content, so whichever run gets here first
+// clusters.
+func clustering(e *future[*cluster.Result], r Run) (*cluster.Result, error) {
 	cfg, _ := selfClustering(r.Scheme)
-	e.once.Do(func() { e.res, e.err = cluster.Run(r.W, cfg) })
-	return e.res, e.err
-}
-
-// resolve returns r's scheme with its clustering taken from e, computed
-// on first use; a nil e returns the scheme unchanged.
-func (e *clusterEntry) resolve(r Run) (placement.Scheme, error) {
-	if e == nil {
-		return r.Scheme, nil
-	}
-	res, err := e.get(r)
-	if err != nil {
-		return nil, err
-	}
-	return withClustering(r.Scheme, res), nil
+	return e.get(func() (*cluster.Result, error) { return cluster.Run(r.W, cfg) })
 }
 
 // claims finds the memo entry of each run whose scheme would cluster its
@@ -72,8 +50,8 @@ func (e *clusterEntry) resolve(r Run) (placement.Scheme, error) {
 // change workloads in place (TargetMeanRequestBytes, ScaleObjectSizes)
 // before their runs, so a digest cached by pointer could go stale between
 // batches. While a batch runs its workloads do not change.
-func (m clusterMemo) claims(runs []Run) (entries []*clusterEntry, first []int) {
-	entries = make([]*clusterEntry, len(runs))
+func (m clusterMemo) claims(runs []Run) (entries []*future[*cluster.Result], first []int) {
+	entries = make([]*future[*cluster.Result], len(runs))
 	digests := make(map[*model.Workload][sha256.Size]byte)
 	for i, r := range runs {
 		cfg, ok := selfClustering(r.Scheme)
@@ -88,7 +66,7 @@ func (m clusterMemo) claims(runs []Run) (entries []*clusterEntry, first []int) {
 		key := clusterKey{digest: d, cfg: cfg}
 		e := m[key]
 		if e == nil {
-			e = &clusterEntry{}
+			e = &future[*cluster.Result]{}
 			m[key] = e
 		}
 		entries[i] = e

@@ -44,7 +44,7 @@ func TestClusterMemoKey(t *testing.T) {
 	}
 	def := cluster.DefaultConfig()
 	memo := clusterMemo{}
-	entry := func(w *model.Workload, ccfg cluster.Config) (*clusterEntry, Run) {
+	entry := func(w *model.Workload, ccfg cluster.Config) (*future[*cluster.Result], Run) {
 		r := Run{Scheme: placement.ParallelBatch{Clustering: ccfg}, W: w}
 		entries, first := memo.claims([]Run{r})
 		if len(first) != 1 || entries[0] == nil {
@@ -93,7 +93,7 @@ func TestClusterMemoKey(t *testing.T) {
 			if got := e == base; got != tc.same {
 				t.Errorf("shares the base entry: %v, want %v", got, tc.same)
 			}
-			got, err := e.get(r)
+			got, err := clustering(e, r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,7 +144,7 @@ func TestClusterMemoReclustersChangedWorkload(t *testing.T) {
 		t.Errorf("memo holds %d entries after the workload changed, want 2", len(cfg.memo))
 	}
 	entries, _ := cfg.memo.claims(runs)
-	res, err := entries[0].get(runs[0])
+	res, err := clustering(entries[0], runs[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,53 +14,16 @@ package experiments
 import (
 	"fmt"
 
-	"paralleltape/internal/metrics"
-	"paralleltape/internal/rng"
 	"paralleltape/internal/spans"
-	"paralleltape/internal/tapesys"
 	"paralleltape/internal/units"
-	"paralleltape/internal/workload"
 )
-
-// phaseBreakdown places the run's workload, taking the scheme's
-// clustering from cl, replays the placement with tracing on and returns
-// the span-level aggregate. The request stream matches seed 0 of the
-// shared runner (Config.execute), so the simulated work is the same work
-// the other exhibits measure.
-func (c Config) phaseBreakdown(run Run, cl *clusterEntry) (*spans.Breakdown, error) {
-	sch, err := cl.resolve(run)
-	if err != nil {
-		return nil, fmt.Errorf("place: %w", err)
-	}
-	pr, err := sch.Place(run.W, run.HW)
-	if err != nil {
-		return nil, fmt.Errorf("place: %w", err)
-	}
-	sys, err := tapesys.NewWithOptions(run.HW, pr, run.Opts)
-	if err != nil {
-		return nil, err
-	}
-	buf := sys.EnableTrace(0)
-	stream, err := workload.NewRequestStream(run.W, rng.New(c.Seed^0x9E3779B97F4A7C15))
-	if err != nil {
-		return nil, err
-	}
-	n := c.requests(run)
-	for i := 0; i < n; i++ {
-		if _, err := sys.Submit(stream.Next()); err != nil {
-			return nil, fmt.Errorf("request %d: %w", i, err)
-		}
-	}
-	sess, err := spans.Build(buf.Events)
-	if err != nil {
-		return nil, fmt.Errorf("span reconstruction: %w", err)
-	}
-	return spans.Aggregate(sess), nil
-}
 
 // Phases runs the critical-path attribution exhibit for the paper's
 // three schemes at the Figure 9 request size (≈160 GB), so the blame
-// shares are directly comparable with Figure 9's component sums.
+// shares are directly comparable with Figure 9's component sums. The
+// three runs are ordinary runs of the shared runner, traced, with one
+// seed: each replays the request stream of seed 0 of every other
+// exhibit, under the Config's faults and request timeout.
 func Phases(cfg Config) (*Report, error) {
 	w, err := cfg.baseWorkload(cfg.target(fig9ReqBytes))
 	if err != nil {
@@ -68,34 +31,42 @@ func Phases(cfg Config) (*Report, error) {
 	}
 	var runs []Run
 	for _, sch := range cfg.threeSchemes() {
-		runs = append(runs, Run{Scheme: sch, W: w, HW: cfg.HW})
+		runs = append(runs, Run{Label: "phases", Scheme: sch, W: w, HW: cfg.HW})
 	}
-	entries, _ := cfg.clusterings().claims(runs)
-	t := metrics.NewTable(
-		"Critical-path phase attribution (avg request ≈ 160 GB): share of response time blamed on each phase",
-		"scheme", "response p95 s", "queue", "rewind", "robot-wait", "robot-move", "load", "seek", "transfer")
-	var rows []Row
-	for i, run := range runs {
-		b, err := cfg.phaseBreakdown(run, entries[i])
-		name := run.Scheme.Name()
-		row := Row{Label: "phases", Scheme: name, Err: err}
-		if err != nil {
-			t.AddRow(name, "ERROR: "+err.Error())
-			rows = append(rows, row)
+	cfg.Seeds = 1
+	ran, bufs := cfg.runAll(runs, true)
+	// Rows carry only label, scheme and X: the runs' session stats are
+	// Figure 9's to report.
+	rows := make([]Row, len(ran))
+	blame := make(map[string]spans.Breakdown, len(ran))
+	for i, r := range ran {
+		rows[i] = Row{Label: r.Label, Scheme: r.Scheme, Err: r.Err}
+		if r.Err != nil {
 			continue
 		}
-		t.AddRow(name, fmt.Sprintf("%.0f", b.Response.P95),
-			units.Percent(b.Share(spans.PhaseQueue)),
-			units.Percent(b.Share(spans.PhaseRewind)),
-			units.Percent(b.Share(spans.PhaseRobotWait)),
-			units.Percent(b.Share(spans.PhaseRobotMove)),
-			units.Percent(b.Share(spans.PhaseLoad)),
-			units.Percent(b.Share(spans.PhaseSeek)),
-			units.Percent(b.Share(spans.PhaseTransfer)))
+		sess, err := spans.Build(bufs[i].Events)
+		if err != nil {
+			rows[i].Err = fmt.Errorf("span reconstruction: %w", err)
+			continue
+		}
+		b := spans.Aggregate(sess)
+		blame[r.Scheme] = *b
 		// X carries the transfer blame share: the scheme separator in the
 		// all-mounted regime and the quantity shape tests pin.
-		row.X = b.Share(spans.PhaseTransfer)
-		rows = append(rows, row)
+		rows[i].X = b.Share(spans.PhaseTransfer)
 	}
+	t := table("Critical-path phase attribution (avg request ≈ 160 GB): share of response time blamed on each phase",
+		[]string{"scheme", "response p95 s", "queue", "rewind", "robot-wait", "robot-move", "load", "seek", "transfer"}, 1, rows,
+		func(r Row) []string {
+			b := blame[r.Scheme]
+			return []string{r.Scheme, fmt.Sprintf("%.0f", b.Response.P95),
+				units.Percent(b.Share(spans.PhaseQueue)),
+				units.Percent(b.Share(spans.PhaseRewind)),
+				units.Percent(b.Share(spans.PhaseRobotWait)),
+				units.Percent(b.Share(spans.PhaseRobotMove)),
+				units.Percent(b.Share(spans.PhaseLoad)),
+				units.Percent(b.Share(spans.PhaseSeek)),
+				units.Percent(b.Share(spans.PhaseTransfer))}
+		})
 	return &Report{ID: "phases", Caption: "Critical-path phase attribution", Table: t, Rows: rows}, nil
 }

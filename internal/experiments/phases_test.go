@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"paralleltape/internal/telemetry"
 )
 
 // TestPhasesShape checks the critical-path attribution exhibit: all
@@ -61,5 +63,60 @@ func TestPhasesDeterministic(t *testing.T) {
 	}
 	if a, b := render(), render(); a != b {
 		t.Errorf("phases exhibit not deterministic:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// renderPhases runs the exhibit and renders its table, failing on a run
+// error.
+func renderPhases(t *testing.T, cfg Config) string {
+	t.Helper()
+	rep, err := Phases(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Err(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := rep.Table.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// TestPhasesUnderFaults checks that Config.Faults reaches the phases
+// runs, as it reaches every other exhibit's: drive and robot failures
+// change where response time goes, so the blame table must change.
+func TestPhasesUnderFaults(t *testing.T) {
+	cfg := quickCfg()
+	healthy := renderPhases(t, cfg)
+	cfg.Faults = chaosProfile(cfg.Seed, 2500)
+	if faulty := renderPhases(t, cfg); faulty == healthy {
+		t.Errorf("phases table under a fault profile equals the healthy one:\n%s", faulty)
+	}
+}
+
+// TestPhasesTelemetry checks that a shared collector counts the three
+// phases runs and their requests like any other runs: one seed each,
+// whatever Config.Seeds says.
+func TestPhasesTelemetry(t *testing.T) {
+	cfg := quickCfg()
+	cfg.Requests = 10
+	cfg.Seeds = 2
+	cfg.Telemetry = telemetry.NewCollector(telemetry.NewRegistry())
+	renderPhases(t, cfg)
+	col := cfg.Telemetry
+	if got := col.RunsTarget.Value(); got != 3 {
+		t.Errorf("runs target = %d, want 3", got)
+	}
+	if got := col.RunsCompleted.Value(); got != 3 {
+		t.Errorf("runs completed = %d, want 3", got)
+	}
+	const reqs = 3 * 10
+	if got := col.RequestsTarget.Value(); got != reqs {
+		t.Errorf("requests target = %d, want %d", got, reqs)
+	}
+	if got := col.Completed.Value(); got != reqs {
+		t.Errorf("requests completed = %d, want %d", got, reqs)
 	}
 }

@@ -41,6 +41,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"paralleltape/internal/cluster"
 	"paralleltape/internal/faults"
 	"paralleltape/internal/metrics"
 	"paralleltape/internal/model"
@@ -49,6 +50,7 @@ import (
 	"paralleltape/internal/tape"
 	"paralleltape/internal/tapesys"
 	"paralleltape/internal/telemetry"
+	"paralleltape/internal/trace"
 	"paralleltape/internal/units"
 	"paralleltape/internal/workload"
 )
@@ -157,7 +159,7 @@ func (c Config) baseParams() (workload.Params, error) {
 		if cap40 := c.HW.Capacity / 40; p.MaxObjSize > cap40 && cap40 > 0 {
 			p.MaxObjSize = cap40
 			if p.MinObjSize > p.MaxObjSize {
-				p.MinObjSize = max64(1024, p.MaxObjSize/64)
+				p.MinObjSize = max(1024, p.MaxObjSize/64)
 			}
 		}
 	}
@@ -231,12 +233,19 @@ type placeKey struct {
 	hw     tape.Hardware
 }
 
-// placeEntry is one memoized placement; Once gates the single Place call
-// while concurrent runs needing the same key wait on it.
-type placeEntry struct {
+// future is one memoized result: once gates the single computation while
+// the runs needing the result wait on it. The runner holds placements and
+// clusterings in futures.
+type future[T any] struct {
 	once sync.Once
-	pr   *placement.Result
+	v    T
 	err  error
+}
+
+// get returns the result, computing it with f on first use.
+func (e *future[T]) get(f func() (T, error)) (T, error) {
+	e.once.Do(func() { e.v, e.err = f() })
+	return e.v, e.err
 }
 
 // placeCache memoizes Scheme.Place per (scheme, workload, hardware) triple
@@ -247,11 +256,11 @@ type placeEntry struct {
 // one placement).
 type placeCache struct {
 	mu sync.Mutex
-	m  map[placeKey]*placeEntry
+	m  map[placeKey]*future[*placement.Result]
 }
 
 func newPlaceCache() *placeCache {
-	return &placeCache{m: make(map[placeKey]*placeEntry)}
+	return &placeCache{m: make(map[placeKey]*future[*placement.Result])}
 }
 
 // place returns the memoized placement for the run, computing it on first
@@ -265,14 +274,11 @@ func (pc *placeCache) place(r Run) (*placement.Result, error) {
 	pc.mu.Lock()
 	e, ok := pc.m[key]
 	if !ok {
-		e = &placeEntry{}
+		e = &future[*placement.Result]{}
 		pc.m[key] = e
 	}
 	pc.mu.Unlock()
-	e.once.Do(func() {
-		e.pr, e.err = r.Scheme.Place(r.W, r.HW)
-	})
-	return e.pr, e.err
+	return e.get(func() (*placement.Result, error) { return r.Scheme.Place(r.W, r.HW) })
 }
 
 // requests returns how many requests r simulates per seed.
@@ -298,10 +304,25 @@ func (c Config) clusterings() clusterMemo {
 	return clusterMemo{}
 }
 
+// recorder returns what a run's system records its events into: the
+// sweep's telemetry collector, the run's own trace buffer (nil: none),
+// both, or nothing (nil).
+func (c Config) recorder(buf *trace.Buffer) trace.Recorder {
+	switch {
+	case buf == nil && c.Telemetry == nil:
+		return nil
+	case buf == nil:
+		return c.Telemetry
+	case c.Telemetry == nil:
+		return buf
+	}
+	return trace.Tee{buf, c.Telemetry}
+}
+
 // execute performs one run start to finish, taking the run's clustering
-// from cl (nil: the scheme clusters nothing, or itself). pc may be nil (no
-// memoization).
-func (c Config) execute(r Run, cl *clusterEntry, pc *placeCache) Row {
+// from cl (nil: the scheme clusters nothing, or itself) and recording its
+// events into rec (nil: none). pc may be nil (no memoization).
+func (c Config) execute(r Run, cl *future[*cluster.Result], pc *placeCache, rec trace.Recorder) Row {
 	row := Row{Label: r.Label, Scheme: r.Scheme.Name(), X: r.X}
 	if r.Opts.Faults == nil {
 		r.Opts.Faults = c.Faults
@@ -309,10 +330,13 @@ func (c Config) execute(r Run, cl *clusterEntry, pc *placeCache) Row {
 	if r.Opts.RequestTimeout == 0 {
 		r.Opts.RequestTimeout = c.RequestTimeout
 	}
-	var err error
-	if r.Scheme, err = cl.resolve(r); err != nil {
-		row.Err = fmt.Errorf("place: %w", err)
-		return row
+	if cl != nil {
+		res, err := clustering(cl, r)
+		if err != nil {
+			row.Err = fmt.Errorf("place: %w", err)
+			return row
+		}
+		r.Scheme = withClustering(r.Scheme, res)
 	}
 	pr, err := pc.place(r)
 	if err != nil {
@@ -331,8 +355,8 @@ func (c Config) execute(r Run, cl *clusterEntry, pc *placeCache) Row {
 	for si := 0; si < seeds; si++ {
 		if sys == nil {
 			sys, err = tapesys.NewWithOptions(r.HW, pr, r.Opts)
-			if err == nil && c.Telemetry != nil {
-				sys.SetRecorder(c.Telemetry)
+			if err == nil && rec != nil {
+				sys.SetRecorder(rec)
 			}
 		} else {
 			err = sys.Reset(pr)
@@ -362,6 +386,13 @@ func (c Config) execute(r Run, cl *clusterEntry, pc *placeCache) Row {
 
 // RunAll executes runs on the worker pool, preserving input order.
 func (c Config) RunAll(runs []Run) []Row {
+	rows, _ := c.runAll(runs, false)
+	return rows
+}
+
+// runAll is RunAll that, when traced is set, also records each run's
+// events into a trace.Buffer of its own and returns the buffers by run.
+func (c Config) runAll(runs []Run, traced bool) ([]Row, []*trace.Buffer) {
 	if c.Telemetry != nil {
 		// Raise the sweep targets before dispatch so a progress line or
 		// scrape mid-sweep sees a stable denominator. Targets accumulate
@@ -375,6 +406,12 @@ func (c Config) RunAll(runs []Run) []Row {
 		c.Telemetry.RequestsTarget.Add(int64(reqs))
 	}
 	rows := make([]Row, len(runs))
+	bufs := make([]*trace.Buffer, len(runs))
+	if traced {
+		for i := range bufs {
+			bufs[i] = trace.NewBuffer(0)
+		}
+	}
 	pc := newPlaceCache()
 	// The batch's distinct clusterings are the pool's first tasks, so the
 	// workers compute them side by side; a run whose clustering another
@@ -393,13 +430,13 @@ func (c Config) RunAll(runs []Run) []Row {
 				i := int(next.Add(1)) - 1
 				if i < len(first) {
 					// A failed clustering reaches the rows that need it.
-					_, _ = entries[first[i]].get(runs[first[i]])
+					_, _ = clustering(entries[first[i]], runs[first[i]])
 					continue
 				}
 				if i -= len(first); i >= len(runs) {
 					return
 				}
-				rows[i] = c.execute(runs[i], entries[i], pc)
+				rows[i] = c.execute(runs[i], entries[i], pc, c.recorder(bufs[i]))
 				if c.Telemetry != nil {
 					c.Telemetry.RunsCompleted.Inc()
 				}
@@ -407,7 +444,7 @@ func (c Config) RunAll(runs []Run) []Row {
 		}()
 	}
 	wg.Wait()
-	return rows
+	return rows, bufs
 }
 
 // threeSchemes returns the paper's three comparison schemes. The runner
@@ -439,6 +476,21 @@ func (r *Report) Err() error {
 	return nil
 }
 
+// table renders one table row per run from cells, which gives all of a
+// row's columns and must accept a failed run's zero Stats. A failed run
+// keeps its first labels cells, then "ERROR: …" in place of the values.
+func table(title string, columns []string, labels int, rows []Row, cells func(Row) []string) *metrics.Table {
+	t := metrics.NewTable(title, columns...)
+	for _, r := range rows {
+		c := cells(r)
+		if r.Err != nil {
+			c = append(c[:labels], "ERROR: "+r.Err.Error())
+		}
+		t.AddRow(c...)
+	}
+	return t
+}
+
 // mbps renders a byte rate as the paper's MB/s axis unit.
 func mbps(bytesPerSecond float64) string {
 	return fmt.Sprintf("%.1f", bytesPerSecond/1e6)
@@ -450,20 +502,6 @@ func gb(bytes float64) string {
 
 func secs(s float64) string {
 	return fmt.Sprintf("%.1f", s)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // target maps a paper-quoted request size onto the config's scale:

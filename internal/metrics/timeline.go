@@ -76,8 +76,10 @@ type Timeline struct {
 
 	// Phases is the critical-path phase attribution of the run,
 	// reconstructed from the same trace by internal/spans. Nil when the
-	// trace is not reconstructible (for example a ring buffer that dropped
-	// the head of the stream); the report then omits the phase section.
+	// events do not reconstruct into span trees (spans.Build fails), for
+	// example a trace cut short or a trace.Buffer capped below the run's
+	// event count; the report then omits the phase section. tapesim
+	// never caps the buffer behind -report or -explain.
 	Phases *spans.Breakdown
 }
 

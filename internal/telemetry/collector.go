@@ -216,15 +216,17 @@ func (c *Collector) Record(ev trace.Event) {
 
 // spanBoundary folds one span-stamped event into the span-fed series:
 // the in-flight operation gauge and the per-drive busy fractions. Only
-// boundary kinds change state — interior span events (seek, transfer,
-// robot, load, ...) pass through.
+// boundary kinds change state, and only they take the lock — interior
+// span events (seek, transfer, robot, load, ...) pass through without it.
 func (c *Collector) spanBoundary(ev trace.Event) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	switch ev.Kind {
 	case trace.KindServeStart, trace.KindRewind:
+		c.mu.Lock()
+		defer c.mu.Unlock()
 		c.openSpans[ev.Span] = spanStart{lib: ev.Lib, drive: ev.Drive, t: ev.T}
 	case trace.KindServeEnd, trace.KindMounted, trace.KindDriveFailed, trace.KindMediaError:
+		c.mu.Lock()
+		defer c.mu.Unlock()
 		st, ok := c.openSpans[ev.Span]
 		if !ok {
 			return

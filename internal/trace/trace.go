@@ -13,8 +13,10 @@
 //
 // The package provides three recorders:
 //
-//   - Buffer: an in-memory ring with an optional event cap, used by the
-//     run-report aggregation (internal/metrics) and by tests;
+//   - Buffer: an in-memory recorder keeping every event in emission
+//     order, or with a cap only the first limit events, dropping the
+//     rest; used by the run-report aggregation (internal/metrics), the
+//     phases exhibit (internal/experiments) and tests;
 //   - JSONLWriter: a streaming one-JSON-object-per-line exporter
 //     (cmd/tapesim -trace out.jsonl);
 //   - CSVWriter: a streaming CSV exporter with a fixed column set
