@@ -84,8 +84,10 @@ type Timeline struct {
 }
 
 // BuildTimeline reduces a trace to per-component timelines. Events must be
-// in emission order (as any Recorder receives them). Unknown event kinds
-// are ignored, so traces from newer schema revisions still aggregate.
+// in emission order (as any Recorder receives them). Kinds the timeline
+// does not aggregate (serve-start, latch and fault markers, ...) pass
+// through it; a kind the schema does not declare cannot reach it from a
+// trace file, since trace.ParseJSONL rejects one.
 func BuildTimeline(events []trace.Event) *Timeline {
 	tl := &Timeline{}
 	type dk struct{ lib, drive int }
@@ -100,11 +102,11 @@ func BuildTimeline(events []trace.Event) *Timeline {
 	}
 	queues := make(map[string]*queue)
 
-	driveOf := func(ev trace.Event) *DriveTimeline {
-		k := dk{ev.Lib, ev.Drive}
+	driveOf := func(ev *trace.Event) *DriveTimeline {
+		k := dk{int(ev.Lib), int(ev.Drive)}
 		d := drives[k]
 		if d == nil {
-			d = &DriveTimeline{Library: ev.Lib, Drive: ev.Drive}
+			d = &DriveTimeline{Library: k.lib, Drive: k.drive}
 			drives[k] = d
 		}
 		return d
@@ -117,7 +119,7 @@ func BuildTimeline(events []trace.Event) *Timeline {
 		}
 		return r
 	}
-	sample := func(ev trace.Event) *queue {
+	sample := func(ev *trace.Event) *queue {
 		q := queues[ev.Name]
 		if q == nil {
 			q = &queue{QueueSeries: QueueSeries{Name: ev.Name}, lib: -1}
@@ -126,11 +128,12 @@ func BuildTimeline(events []trace.Event) *Timeline {
 			}
 			queues[ev.Name] = q
 		}
-		q.Samples = append(q.Samples, QueueSample{T: ev.T, Depth: ev.Queue})
+		q.Samples = append(q.Samples, QueueSample{T: ev.T, Depth: int(ev.Queue)})
 		return q
 	}
 
-	for _, ev := range events {
+	for i := range events {
+		ev := &events[i]
 		if ev.T > tl.Horizon {
 			tl.Horizon = ev.T
 		}
@@ -161,9 +164,7 @@ func BuildTimeline(events []trace.Event) *Timeline {
 				r := robotOf(lib)
 				switch ev.Kind {
 				case trace.KindResourceWait:
-					if ev.Queue > r.MaxQueue {
-						r.MaxQueue = ev.Queue
-					}
+					r.MaxQueue = max(r.MaxQueue, int(ev.Queue))
 				case trace.KindResourceGrant:
 					r.Grants++
 					r.WaitSeconds += ev.Dur
@@ -172,7 +173,7 @@ func BuildTimeline(events []trace.Event) *Timeline {
 				}
 			}
 		case trace.KindRobot:
-			robotOf(ev.Lib).MoveSeconds += ev.Dur
+			robotOf(int(ev.Lib)).MoveSeconds += ev.Dur
 		}
 	}
 

@@ -76,7 +76,7 @@ func TestBuildTimeline(t *testing.T) {
 // resource that is no robot, interleaved, so each name's library is
 // resolved once and must still route every event to its own row.
 func TestBuildTimelineTwoRobots(t *testing.T) {
-	res := func(t float64, kind trace.Kind, name string, queue int, dur float64) trace.Event {
+	res := func(t float64, kind trace.Kind, name string, queue int32, dur float64) trace.Event {
 		return trace.Event{T: t, Kind: kind, Lib: -1, Drive: -1, Tape: -1, Req: -1, Queue: queue, Dur: dur, Name: name}
 	}
 	events := []trace.Event{

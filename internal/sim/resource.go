@@ -80,7 +80,7 @@ func (r *Resource) emit(kind trace.Kind, dur float64, queue int) {
 	}
 	rec.Record(trace.Event{
 		T: r.eng.now, Kind: kind, Lib: -1, Drive: -1, Tape: -1, Req: -1,
-		Dur: dur, Queue: queue, Name: r.name,
+		Dur: dur, Queue: int32(queue), Name: r.name,
 	})
 }
 

@@ -176,7 +176,7 @@ func (s *Session) QueueDepthPoints() []QueuePoint {
 		for _, ev := range r.Contention {
 			switch ev.Kind {
 			case trace.KindResourceWait, trace.KindResourceGrant, trace.KindResourceRelease:
-				pts = append(pts, QueuePoint{Name: ev.Name, T: ev.T, Depth: ev.Queue})
+				pts = append(pts, QueuePoint{Name: ev.Name, T: ev.T, Depth: int(ev.Queue)})
 			}
 		}
 	}

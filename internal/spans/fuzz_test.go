@@ -33,6 +33,12 @@ func FuzzParseBuild(f *testing.F) {
 	}
 	f.Add([]byte("{\"t\":0,\"kind\":\"submit\",\"req\":0,\"bytes\":10}\n" +
 		"{\"t\":1,\"kind\":\"complete\",\"req\":0,\"bytes\":10,\"dur\":1}\n"))
+	// What trace.Event cannot hold is a parse error: a kind the schema
+	// does not declare, and an index outside int32.
+	f.Add([]byte("{\"t\":0,\"kind\":\"submit\",\"req\":0}\n" +
+		"{\"t\":1,\"kind\":\"teleport\",\"req\":0}\n"))
+	f.Add([]byte("{\"t\":0,\"kind\":\"submit\",\"req\":0}\n" +
+		"{\"t\":1,\"kind\":\"seek\",\"lib\":2147483648,\"drive\":0,\"tape\":0,\"req\":0,\"span\":1}\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events, err := trace.ParseJSONL(bytes.NewReader(data))

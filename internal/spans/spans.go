@@ -148,8 +148,11 @@ type Request struct {
 	// operation span (e.g. drive failures observed between operations,
 	// mid-request repairs).
 	Incidents []trace.Event
-	// Contention holds the robot-queue and latch events that occurred
-	// inside the request's window.
+	// Contention holds the robot-queue events (resource wait, grant and
+	// release) that occurred inside the request's window; latch events
+	// are only counted, in Session.Latches. The requests of a Session share one
+	// backing array; each slice's capacity ends at its length, so an
+	// append copies rather than overwriting another request's events.
 	Contention []trace.Event
 	// Critical is the request's critical path: the chronological chain of
 	// operations and waits that bounded End − Submit.
@@ -161,7 +164,6 @@ type Request struct {
 	Events int
 
 	edges []retryEdge
-	ops   map[int64]*Op
 }
 
 // Wall returns the request's mechanical wall-clock span End − Submit
@@ -194,19 +196,30 @@ type Session struct {
 // an error.
 func Build(events []trace.Event) (*Session, error) {
 	s := &Session{}
+	// A contention event carries neither a span nor a request; so do the
+	// boundary and latch events, which this bound also counts. Sizing the
+	// session's contention slice up front allocates it once.
+	n := 0
+	for i := range events {
+		if events[i].Span == 0 && events[i].Req < 0 {
+			n++
+		}
+	}
+	b := builder{ops: make(map[int64]*Op), contention: make([]trace.Event, 0, n)}
 	var cur *Request
-	for i, ev := range events {
-		switch {
-		case ev.Kind == trace.KindLatchOpen:
+	for i := range events {
+		ev := &events[i]
+		switch ev.Kind {
+		case trace.KindLatchOpen:
 			s.Latches++
-			continue
-		case ev.Kind == trace.KindSubmit:
+		case trace.KindSubmit:
 			if cur != nil {
 				return nil, fmt.Errorf("spans: event %d: submit of request %d inside open request %d", i, ev.Req, cur.ID)
 			}
-			cur = &Request{ID: ev.Req, Submit: ev.T, ops: make(map[int64]*Op)}
+			cur = &Request{ID: ev.Req, Submit: ev.T}
 			cur.Events++
-		case ev.Kind == trace.KindComplete:
+			b.open()
+		case trace.KindComplete:
 			if cur == nil || cur.ID != ev.Req {
 				return nil, fmt.Errorf("spans: event %d: complete of request %d without matching submit", i, ev.Req)
 			}
@@ -217,35 +230,39 @@ func Build(events []trace.Event) (*Session, error) {
 			if !cur.TimedOut {
 				cur.BytesServed = ev.Bytes
 			}
-			cur.finalize()
+			cur.Contention = b.close()
+			cur.finalize(b.ops)
 			s.Requests = append(s.Requests, cur)
 			cur = nil
-		case ev.Kind == trace.KindRequestTimedOut:
+		case trace.KindRequestTimedOut:
 			if cur == nil || cur.ID != ev.Req {
 				return nil, fmt.Errorf("spans: event %d: request-timeout outside request %d's window", i, ev.Req)
 			}
 			cur.Events++
 			cur.TimedOut = true
 			cur.BytesServed = ev.Bytes
-		case ev.Span != 0:
-			if cur == nil {
-				return nil, fmt.Errorf("spans: event %d: span %d event %q outside any request window", i, ev.Span, ev.Kind)
-			}
-			if ev.Req >= 0 && ev.Req != cur.ID {
-				return nil, fmt.Errorf("spans: event %d: request %d event inside request %d's window", i, ev.Req, cur.ID)
-			}
-			cur.claimOp(ev)
-		case ev.Req >= 0:
-			if cur == nil || cur.ID != ev.Req {
-				return nil, fmt.Errorf("spans: event %d: request %d event %q outside its window", i, ev.Req, ev.Kind)
-			}
-			cur.Events++
-			cur.Incidents = append(cur.Incidents, ev)
-		case cur != nil:
-			cur.Events++
-			cur.Contention = append(cur.Contention, ev)
 		default:
-			s.Boundary = append(s.Boundary, ev)
+			switch {
+			case ev.Span != 0:
+				if cur == nil {
+					return nil, fmt.Errorf("spans: event %d: span %d event %q outside any request window", i, ev.Span, ev.Kind)
+				}
+				if ev.Req >= 0 && ev.Req != cur.ID {
+					return nil, fmt.Errorf("spans: event %d: request %d event inside request %d's window", i, ev.Req, cur.ID)
+				}
+				b.claimOp(cur, ev)
+			case ev.Req >= 0:
+				if cur == nil || cur.ID != ev.Req {
+					return nil, fmt.Errorf("spans: event %d: request %d event %q outside its window", i, ev.Req, ev.Kind)
+				}
+				cur.Events++
+				cur.Incidents = append(cur.Incidents, *ev)
+			case cur != nil:
+				cur.Events++
+				b.contention = append(b.contention, *ev)
+			default:
+				s.Boundary = append(s.Boundary, *ev)
+			}
 		}
 	}
 	if cur != nil {
@@ -255,12 +272,50 @@ func Build(events []trace.Event) (*Session, error) {
 	return s, nil
 }
 
+// opSlab is the number of Ops Build allocates at a time.
+const opSlab = 256
+
+// builder is the state Build reuses from one request to the next, so a
+// request costs a few allocations rather than one per operation and
+// event list.
+type builder struct {
+	// ops maps the open request's span IDs to their operations; it is
+	// cleared at each submit.
+	ops map[int64]*Op
+	// slab is the array new Ops are taken from.
+	slab []Op
+	// contention holds the contention events of every request so far,
+	// back to back; from is where the open request's events start.
+	contention []trace.Event
+	from       int
+}
+
+// open starts a request window.
+func (b *builder) open() {
+	clear(b.ops)
+	b.from = len(b.contention)
+}
+
+// close ends a request window and returns its contention events, nil when
+// there are none. The slice's capacity ends at its length, so appending to
+// it copies instead of overwriting the next request's events.
+func (b *builder) close() []trace.Event {
+	if len(b.contention) == b.from {
+		return nil
+	}
+	return b.contention[b.from:len(b.contention):len(b.contention)]
+}
+
 // claimOp folds one span-carrying event into its request's operation.
-func (r *Request) claimOp(ev trace.Event) {
-	op := r.ops[ev.Span]
+func (b *builder) claimOp(r *Request, ev *trace.Event) {
+	op := b.ops[ev.Span]
 	if op == nil {
-		op = &Op{Span: ev.Span, Lib: ev.Lib, Drive: ev.Drive, Tape: -1, tapeHint: -1, Start: ev.T}
-		r.ops[ev.Span] = op
+		if len(b.slab) == cap(b.slab) {
+			b.slab = make([]Op, 0, opSlab)
+		}
+		b.slab = append(b.slab, Op{Span: ev.Span, Lib: int(ev.Lib), Drive: int(ev.Drive), Tape: -1, tapeHint: -1, Start: ev.T})
+		op = &b.slab[len(b.slab)-1]
+		b.ops[ev.Span] = op
 		r.Ops = append(r.Ops, op)
 	}
 	r.Events++
@@ -272,7 +327,7 @@ func (r *Request) claimOp(ev trace.Event) {
 	case trace.KindServeStart:
 		op.Serve = true
 		op.Start = ev.T
-		op.Tape = ev.Tape
+		op.Tape = int(ev.Tape)
 		op.Bytes = ev.Bytes
 	case trace.KindSeek:
 		op.Serve = true
@@ -287,13 +342,13 @@ func (r *Request) claimOp(ev trace.Event) {
 		op.Start = ev.T
 		op.Rewind = ev.Dur
 	case trace.KindRobot:
-		op.Tape = ev.Tape
+		op.Tape = int(ev.Tape)
 		op.RobotMove = ev.Dur
 	case trace.KindLoad:
-		op.Tape = ev.Tape
+		op.Tape = int(ev.Tape)
 		op.Load = ev.Dur
 	case trace.KindMounted:
-		op.Tape = ev.Tape
+		op.Tape = int(ev.Tape)
 		op.Mounted = true
 		op.End = ev.T
 	case trace.KindRobotFailed:
@@ -306,15 +361,16 @@ func (r *Request) claimOp(ev trace.Event) {
 		op.End = ev.T
 	case trace.KindOpRetried:
 		op.Retried = true
-		op.tapeHint = ev.Tape
-		r.edges = append(r.edges, retryEdge{t: ev.T, lib: ev.Lib, tape: ev.Tape, span: ev.Span, attempt: ev.Queue})
+		op.tapeHint = int(ev.Tape)
+		r.edges = append(r.edges, retryEdge{t: ev.T, lib: int(ev.Lib), tape: int(ev.Tape), span: ev.Span, attempt: int(ev.Queue)})
 	}
 }
 
 // finalize closes a request at its complete event: operation end times
 // are settled, operations sorted into a deterministic order, retry edges
-// resolved into links, and the critical path computed.
-func (r *Request) finalize() {
+// resolved into links, and the critical path computed. ops maps the
+// request's span IDs to its operations.
+func (r *Request) finalize(ops map[int64]*Op) {
 	for _, op := range r.Ops {
 		if !op.Done && !op.Mounted && !op.Failed && !op.MediaError {
 			op.End = op.lastT
@@ -341,7 +397,7 @@ func (r *Request) finalize() {
 		}
 		return 0
 	})
-	r.linkRetries()
+	r.linkRetries(ops)
 	r.computeCritical()
 }
 
@@ -352,7 +408,7 @@ func (r *Request) finalize() {
 // in queue (no surviving drive ever picked it up). The resolution only
 // reads deterministic fields (timestamps, indices, span IDs), so links
 // are identical for every recording of the same run.
-func (r *Request) linkRetries() {
+func (r *Request) linkRetries(ops map[int64]*Op) {
 	if len(r.edges) == 0 {
 		return
 	}
@@ -378,7 +434,7 @@ func (r *Request) linkRetries() {
 		return 0
 	})
 	for _, e := range r.edges {
-		failed := r.ops[e.span]
+		failed := ops[e.span]
 		var best *Op
 		for _, op := range r.Ops {
 			if op.Serve || op.RetryOf != nil || op.Lib != e.lib || op.Span == e.span {

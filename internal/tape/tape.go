@@ -59,7 +59,8 @@ func DefaultHardware() Hardware {
 	}
 }
 
-// Validate checks physical plausibility.
+// Validate checks physical plausibility, and that every library, drive
+// and tape index fits the simulator's trace events and span IDs.
 func (h Hardware) Validate() error {
 	switch {
 	case h.CellToDrive < 0 || h.LoadThread < 0 || h.Unload < 0:
@@ -81,6 +82,14 @@ func (h Hardware) Validate() error {
 			h.DrivesPerLib, h.TapesPerLib)
 	case h.Libraries <= 0:
 		return fmt.Errorf("tape: Libraries must be positive, got %d", h.Libraries)
+	case h.Libraries > math.MaxInt32 || h.DrivesPerLib > math.MaxInt32 || h.TapesPerLib > math.MaxInt32:
+		// Trace events carry library, drive and tape indices as int32.
+		return fmt.Errorf("tape: Libraries %d, DrivesPerLib %d and TapesPerLib %d must each fit in int32",
+			h.Libraries, h.DrivesPerLib, h.TapesPerLib)
+	case int64(h.Libraries)*int64(h.DrivesPerLib) >= 1<<31:
+		// A trace span ID holds the global drive index in 31 bits.
+		return fmt.Errorf("tape: %d libraries of %d drives is 2^31 drives or more",
+			h.Libraries, h.DrivesPerLib)
 	}
 	return nil
 }

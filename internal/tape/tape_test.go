@@ -65,6 +65,37 @@ func TestHardwareValidateRejections(t *testing.T) {
 	}
 }
 
+// TestHardwareValidateIndexWidth checks the geometry bounds the trace
+// imposes: indices fit int32 and the global drive index fits the 31 bits
+// a span ID gives it. It only calls Validate; a system this large would
+// allocate every drive.
+func TestHardwareValidateIndexWidth(t *testing.T) {
+	cases := []struct {
+		name                string
+		libs, drives, tapes int
+		wantErr             string
+	}{
+		{"libraries above int32", math.MaxInt32 + 1, 1, 80, "fit in int32"},
+		{"drives above int32", 1, math.MaxInt32 + 1, math.MaxInt32 + 1, "fit in int32"},
+		{"tapes above int32", 3, 8, math.MaxInt32 + 1, "fit in int32"},
+		{"2^31 drives", 2, 1 << 30, 1 << 30, "2^31 drives"},
+		{"2^31 drives, one per library", 1 << 31, 1, 80, "fit in int32"},
+		{"2^31-1 drives", 1, math.MaxInt32, math.MaxInt32, ""},
+		{"int32 libraries of one drive", math.MaxInt32, 1, math.MaxInt32, ""},
+	}
+	for _, c := range cases {
+		h := DefaultHardware()
+		h.Libraries, h.DrivesPerLib, h.TapesPerLib = c.libs, c.drives, c.tapes
+		err := h.Validate()
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Errorf("%s: Validate = %v, want nil", c.name, err)
+		case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+			t.Errorf("%s: Validate = %v, want an error containing %q", c.name, err, c.wantErr)
+		}
+	}
+}
+
 func TestMotionModelCalibration(t *testing.T) {
 	h := DefaultHardware()
 	// Full-tape rewind takes exactly MaxRewind.

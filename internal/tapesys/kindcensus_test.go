@@ -35,10 +35,10 @@ func TestTraceKindCensus(t *testing.T) {
 		t.Fatal("trace.Kinds() is empty")
 	}
 	for _, k := range kinds {
-		if !strings.Contains(fixtures.String(), `"kind":"`+string(k)+`"`) {
+		if !strings.Contains(fixtures.String(), `"kind":"`+k.String()+`"`) {
 			t.Errorf("kind %q appears in no golden fixture — extend the golden scenarios", k)
 		}
-		if !strings.Contains(string(docs), "| `"+string(k)+"` |") {
+		if !strings.Contains(string(docs), "| `"+k.String()+"` |") {
 			t.Errorf("kind %q has no table row in docs/OBSERVABILITY.md", k)
 		}
 	}

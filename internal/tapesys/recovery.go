@@ -128,8 +128,8 @@ func (op *serveOp) interrupted() {
 		// another drive cannot help — the group is lost.
 		s.curMet.MediaErrors++
 		s.totalMediaErrors++
-		s.emit(trace.Event{Kind: trace.KindMediaError, Lib: d.lib, Drive: d.idx,
-			Tape: g.Tape.Index, Req: s.curReq, Span: span, Bytes: g.Bytes, Dur: elapsed})
+		s.emit(trace.Event{Kind: trace.KindMediaError, Lib: int32(d.lib), Drive: int32(d.idx),
+			Tape: int32(g.Tape.Index), Req: s.curReq, Span: span, Bytes: g.Bytes, Dur: elapsed})
 		s.failGroup(g)
 		s.afterService(d)
 		return
@@ -191,8 +191,8 @@ func (s *System) observeDriveFailure(d *drive, repairAt float64, tapeCtx int, re
 	if d.mounted >= 0 {
 		s.evictMounted(d)
 	}
-	s.emit(trace.Event{Kind: trace.KindDriveFailed, Lib: d.lib, Drive: d.idx,
-		Tape: tapeCtx, Req: req, Span: span, Dur: repairAt - s.eng.Now()})
+	s.emit(trace.Event{Kind: trace.KindDriveFailed, Lib: int32(d.lib), Drive: int32(d.idx),
+		Tape: int32(tapeCtx), Req: req, Span: span, Dur: repairAt - s.eng.Now()})
 }
 
 // evictMounted returns a drive's mounted cartridge to its library cell
@@ -230,8 +230,8 @@ func (s *System) retryGroup(g catalog.TapeGroup, attempts int, span int64) {
 	s.curMet.Retries++
 	s.totalRetries++
 	backoff := s.opts.RetryBackoff
-	s.emit(trace.Event{Kind: trace.KindOpRetried, Lib: g.Tape.Library, Drive: -1,
-		Tape: g.Tape.Index, Req: s.curReq, Span: span, Bytes: g.Bytes, Dur: backoff, Queue: attempts + 1})
+	s.emit(trace.Event{Kind: trace.KindOpRetried, Lib: int32(g.Tape.Library), Drive: -1,
+		Tape: int32(g.Tape.Index), Req: s.curReq, Span: span, Bytes: g.Bytes, Dur: backoff, Queue: int32(attempts + 1)})
 	op := s.getRetryOp()
 	op.lib = g.Tape.Library
 	op.e = retryEntry{g: g, attempts: attempts + 1}
@@ -305,7 +305,7 @@ func (s *System) stall(lib int) {
 func (s *System) repairDrive(d *drive) {
 	d.failed = false
 	d.repairAt = 0
-	s.emit(trace.Event{Kind: trace.KindDriveRepaired, Lib: d.lib, Drive: d.idx,
+	s.emit(trace.Event{Kind: trace.KindDriveRepaired, Lib: int32(d.lib), Drive: int32(d.idx),
 		Tape: -1, Req: s.curReq})
 }
 
@@ -327,7 +327,7 @@ func (s *System) sweepFaults(t0 float64) {
 				}
 				d.failed = false
 				d.repairAt = 0
-				s.emitAt(trace.Event{Kind: trace.KindDriveRepaired, Lib: d.lib, Drive: d.idx,
+				s.emitAt(trace.Event{Kind: trace.KindDriveRepaired, Lib: int32(d.lib), Drive: int32(d.idx),
 					Tape: -1, Req: -1}, t0)
 			}
 			if down, until := s.inj.DriveDown(d.gidx, t0); down {
@@ -338,7 +338,7 @@ func (s *System) sweepFaults(t0 float64) {
 					d.mounted = -1
 					d.headPos = 0
 				}
-				s.emitAt(trace.Event{Kind: trace.KindDriveFailed, Lib: d.lib, Drive: d.idx,
+				s.emitAt(trace.Event{Kind: trace.KindDriveFailed, Lib: int32(d.lib), Drive: int32(d.idx),
 					Tape: -1, Req: -1, Dur: until - t0}, t0)
 			}
 		}

@@ -161,7 +161,7 @@ func (s *System) FailDrive(library, drive int) error {
 		d.mounted = -1
 		d.headPos = 0
 	}
-	s.emit(trace.Event{Kind: trace.KindDriveFailed, Lib: library, Drive: drive, Tape: -1, Req: -1})
+	s.emit(trace.Event{Kind: trace.KindDriveFailed, Lib: int32(library), Drive: int32(drive), Tape: -1, Req: -1})
 	return nil
 }
 

@@ -476,7 +476,7 @@ func (op *serveOp) finish() {
 	if s.eng.Now() <= s.deadline {
 		s.curMet.BytesServed += g.Bytes
 	}
-	s.emit(trace.Event{Kind: trace.KindServeEnd, Lib: d.lib, Drive: d.idx, Tape: g.Tape.Index,
+	s.emit(trace.Event{Kind: trace.KindServeEnd, Lib: int32(d.lib), Drive: int32(d.idx), Tape: int32(g.Tape.Index),
 		Req: s.curReq, Span: span, Bytes: g.Bytes, Dur: plan.SeekTotal + plan.XferTotal})
 	s.latch.Done()
 	s.afterService(d)
@@ -573,8 +573,8 @@ func (op *switchOp) onGrant(grant *sim.Grant) {
 	if s.inj != nil {
 		now := s.eng.Now()
 		if down, until := s.inj.RobotDown(d.lib, now); down {
-			s.emit(trace.Event{Kind: trace.KindRobotFailed, Lib: d.lib, Drive: d.idx,
-				Tape: op.g.Tape.Index, Req: s.curReq, Span: op.span, Dur: until - now})
+			s.emit(trace.Event{Kind: trace.KindRobotFailed, Lib: int32(d.lib), Drive: int32(d.idx),
+				Tape: int32(op.g.Tape.Index), Req: s.curReq, Span: op.span, Dur: until - now})
 			s.eng.ScheduleOp(until-now, op, tagSwitchRobot)
 			return
 		}
@@ -585,8 +585,8 @@ func (op *switchOp) onGrant(grant *sim.Grant) {
 // afterRobot resumes a switch that waited out a robot outage.
 func (op *switchOp) afterRobot() {
 	s, d := op.s, op.d
-	s.emit(trace.Event{Kind: trace.KindRobotRepaired, Lib: d.lib, Drive: d.idx,
-		Tape: op.g.Tape.Index, Req: s.curReq, Span: op.span})
+	s.emit(trace.Event{Kind: trace.KindRobotRepaired, Lib: int32(d.lib), Drive: int32(d.idx),
+		Tape: int32(op.g.Tape.Index), Req: s.curReq, Span: op.span})
 	op.moves()
 }
 
@@ -598,7 +598,7 @@ func (op *switchOp) moves() {
 	if op.hadTape {
 		move += s.hw.CellToDrive // first stow the old one
 	}
-	s.emit(trace.Event{Kind: trace.KindRobot, Lib: d.lib, Drive: d.idx, Tape: op.g.Tape.Index,
+	s.emit(trace.Event{Kind: trace.KindRobot, Lib: int32(d.lib), Drive: int32(d.idx), Tape: int32(op.g.Tape.Index),
 		Req: s.curReq, Span: op.span, Dur: move})
 	s.eng.ScheduleOp(move, op, tagSwitchMove)
 }
@@ -611,7 +611,7 @@ func (op *switchOp) afterMove() {
 	if op.abortIfDown() {
 		return
 	}
-	s.emit(trace.Event{Kind: trace.KindLoad, Lib: d.lib, Drive: d.idx, Tape: op.g.Tape.Index,
+	s.emit(trace.Event{Kind: trace.KindLoad, Lib: int32(d.lib), Drive: int32(d.idx), Tape: int32(op.g.Tape.Index),
 		Req: s.curReq, Span: op.span, Dur: s.hw.LoadThread})
 	s.eng.ScheduleOp(s.hw.LoadThread, op, tagSwitchLoad)
 }
@@ -628,7 +628,7 @@ func (op *switchOp) afterLoad() {
 	d.headPos = 0
 	d.mounts++
 	d.switchSeconds += s.eng.Now() - switchBegin
-	s.emit(trace.Event{Kind: trace.KindMounted, Lib: d.lib, Drive: d.idx, Tape: g.Tape.Index,
+	s.emit(trace.Event{Kind: trace.KindMounted, Lib: int32(d.lib), Drive: int32(d.idx), Tape: int32(g.Tape.Index),
 		Req: s.curReq, Span: span, Dur: s.eng.Now() - switchBegin})
 	s.serve(d, g, attempts)
 }
@@ -654,11 +654,11 @@ func (s *System) serve(d *drive, g catalog.TapeGroup, attempts int) {
 		span = s.armServeFaults(op, span)
 	}
 	if s.rec != nil {
-		s.emit(trace.Event{Kind: trace.KindServeStart, Lib: d.lib, Drive: d.idx, Tape: g.Tape.Index,
+		s.emit(trace.Event{Kind: trace.KindServeStart, Lib: int32(d.lib), Drive: int32(d.idx), Tape: int32(g.Tape.Index),
 			Req: s.curReq, Span: op.span, Bytes: g.Bytes})
-		s.emit(trace.Event{Kind: trace.KindSeek, Lib: d.lib, Drive: d.idx, Tape: g.Tape.Index,
+		s.emit(trace.Event{Kind: trace.KindSeek, Lib: int32(d.lib), Drive: int32(d.idx), Tape: int32(g.Tape.Index),
 			Req: s.curReq, Span: op.span, Dur: op.plan.SeekTotal})
-		s.emit(trace.Event{Kind: trace.KindTransfer, Lib: d.lib, Drive: d.idx, Tape: g.Tape.Index,
+		s.emit(trace.Event{Kind: trace.KindTransfer, Lib: int32(d.lib), Drive: int32(d.idx), Tape: int32(g.Tape.Index),
 			Req: s.curReq, Span: op.span, Bytes: g.Bytes, Dur: op.plan.XferTotal})
 	}
 	s.eng.ScheduleOp(span, op, 0)
@@ -685,7 +685,7 @@ func (s *System) startSwitch(d *drive, g catalog.TapeGroup, attempts int) {
 	// Every switch chain opens with a rewind event — Dur 0 and Tape -1 for
 	// an empty drive — so span reconstruction sees the chain's start even
 	// when the chain aborts before any other stage.
-	s.emit(trace.Event{Kind: trace.KindRewind, Lib: d.lib, Drive: d.idx, Tape: d.mounted,
+	s.emit(trace.Event{Kind: trace.KindRewind, Lib: int32(d.lib), Drive: int32(d.idx), Tape: int32(d.mounted),
 		Req: s.curReq, Span: op.span, Dur: prep})
 	s.eng.ScheduleOp(prep, op, tagSwitchPrep)
 }

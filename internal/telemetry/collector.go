@@ -223,7 +223,7 @@ func (c *Collector) spanBoundary(ev trace.Event) {
 	case trace.KindServeStart, trace.KindRewind:
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		c.openSpans[ev.Span] = spanStart{lib: ev.Lib, drive: ev.Drive, t: ev.T}
+		c.openSpans[ev.Span] = spanStart{lib: int(ev.Lib), drive: int(ev.Drive), t: ev.T}
 	case trace.KindServeEnd, trace.KindMounted, trace.KindDriveFailed, trace.KindMediaError:
 		c.mu.Lock()
 		defer c.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -19,6 +20,7 @@ import (
 type JSONLWriter struct {
 	w    *bufio.Writer
 	err  error
+	enc  encoder
 	line []byte // reused encoding buffer, so Record does not allocate
 }
 
@@ -32,7 +34,7 @@ func (j *JSONLWriter) Record(ev Event) {
 	if j.err != nil {
 		return
 	}
-	j.line = appendJSON(j.line[:0], ev)
+	j.line = j.enc.appendJSON(j.line[:0], &ev)
 	if _, err := j.w.Write(j.line); err != nil {
 		j.err = err
 	}
@@ -46,14 +48,61 @@ func (j *JSONLWriter) Close() error {
 	return j.w.Flush()
 }
 
+// memo holds the encoding of the last value one field was encoded with,
+// keyed by the value's bits, so a repeated value is copied rather than
+// formatted again. Bits, not ==, decide a repeat: +0 and -0 are equal but
+// encode as "0" and "-0".
+type memo struct {
+	bits uint64
+	n    int      // length of the cached encoding; 0 until the first value
+	enc  [24]byte // fits any shortest float64 and any int64
+}
+
+// float appends v's shortest round-trip decimal.
+func (m *memo) float(b []byte, v float64) []byte {
+	if bits := math.Float64bits(v); m.n == 0 || bits != m.bits {
+		m.bits = bits
+		m.n = len(strconv.AppendFloat(m.enc[:0], v, 'g', -1, 64))
+	}
+	return append(b, m.enc[:m.n]...)
+}
+
+// int appends v in decimal.
+func (m *memo) int(b []byte, v int64) []byte {
+	if bits := uint64(v); m.n == 0 || bits != m.bits {
+		m.bits = bits
+		m.n = len(strconv.AppendInt(m.enc[:0], v, 10))
+	}
+	return append(b, m.enc[:m.n]...)
+}
+
+// encoder renders events for JSONLWriter and CSVWriter. It memoizes the
+// fields whose values repeat from event to event: the time (most events
+// share their predecessor's instant), the request, span and byte count,
+// and the duration per kind (robot moves, loads and empty-drive rewinds
+// are constants). The small index fields go through strconv's fast path
+// for small integers.
+type encoder struct {
+	t, req, span, bytes memo
+	dur                 [numKinds]memo
+}
+
+// appendDur appends ev.Dur through its kind's memo.
+func (e *encoder) appendDur(b []byte, ev *Event) []byte {
+	if int(ev.Kind) < numKinds {
+		return e.dur[ev.Kind].float(b, ev.Dur)
+	}
+	return strconv.AppendFloat(b, ev.Dur, 'g', -1, 64)
+}
+
 // appendJSON encodes one event with a fixed key order, omitting fields
 // that are not applicable (-1 indices, zero durations, empty names). The
 // key order and omission rules are part of the documented schema.
-func appendJSON(b []byte, ev Event) []byte {
+func (e *encoder) appendJSON(b []byte, ev *Event) []byte {
 	b = append(b, `{"t":`...)
-	b = appendFloat(b, ev.T)
+	b = e.t.float(b, ev.T)
 	b = append(b, `,"kind":"`...)
-	b = append(b, ev.Kind...)
+	b = append(b, ev.Kind.String()...)
 	b = append(b, '"')
 	if ev.Lib >= 0 {
 		b = append(b, `,"lib":`...)
@@ -69,19 +118,19 @@ func appendJSON(b []byte, ev Event) []byte {
 	}
 	if ev.Req >= 0 {
 		b = append(b, `,"req":`...)
-		b = strconv.AppendInt(b, ev.Req, 10)
+		b = e.req.int(b, ev.Req)
 	}
 	if ev.Span != 0 {
 		b = append(b, `,"span":`...)
-		b = strconv.AppendInt(b, ev.Span, 10)
+		b = e.span.int(b, ev.Span)
 	}
 	if ev.Bytes != 0 {
 		b = append(b, `,"bytes":`...)
-		b = strconv.AppendInt(b, ev.Bytes, 10)
+		b = e.bytes.int(b, ev.Bytes)
 	}
 	if ev.Dur != 0 {
 		b = append(b, `,"dur":`...)
-		b = appendFloat(b, ev.Dur)
+		b = e.appendDur(b, ev)
 	}
 	if ev.Queue != 0 {
 		b = append(b, `,"queue":`...)
@@ -95,9 +144,45 @@ func appendJSON(b []byte, ev Event) []byte {
 	return b
 }
 
-// appendFloat appends the shortest decimal that round-trips to v.
-func appendFloat(b []byte, v float64) []byte {
-	return strconv.AppendFloat(b, v, 'g', -1, 64)
+// appendCSV encodes one event as a row under CSVColumns, with empty cells
+// for the fields appendJSON omits.
+func (e *encoder) appendCSV(b []byte, ev *Event) []byte {
+	b = e.t.float(b, ev.T)
+	b = append(b, ',')
+	b = append(b, ev.Kind.String()...)
+	b = appendOptInt(b, int64(ev.Lib), ev.Lib >= 0)
+	b = appendOptInt(b, int64(ev.Drive), ev.Drive >= 0)
+	b = appendOptInt(b, int64(ev.Tape), ev.Tape >= 0)
+	b = append(b, ',')
+	if ev.Req >= 0 {
+		b = e.req.int(b, ev.Req)
+	}
+	b = append(b, ',')
+	if ev.Span != 0 {
+		b = e.span.int(b, ev.Span)
+	}
+	b = append(b, ',')
+	if ev.Bytes != 0 {
+		b = e.bytes.int(b, ev.Bytes)
+	}
+	b = append(b, ',')
+	if ev.Dur != 0 {
+		b = e.appendDur(b, ev)
+	}
+	b = appendOptInt(b, int64(ev.Queue), ev.Queue != 0)
+	b = append(b, ',')
+	b = append(b, ev.Name...) // resource names contain no commas/quotes
+	b = append(b, '\n')
+	return b
+}
+
+// appendOptInt appends ",v" when present, "," otherwise.
+func appendOptInt(b []byte, v int64, present bool) []byte {
+	b = append(b, ',')
+	if present {
+		b = strconv.AppendInt(b, v, 10)
+	}
+	return b
 }
 
 // CSVColumns is the fixed CSV header: every event populates the same
@@ -112,6 +197,7 @@ type CSVWriter struct {
 	w      *bufio.Writer
 	err    error
 	header bool
+	enc    encoder
 	line   []byte // reused encoding buffer, so Record does not allocate
 }
 
@@ -133,36 +219,10 @@ func (c *CSVWriter) Record(ev Event) {
 			return
 		}
 	}
-	b := appendFloat(c.line[:0], ev.T)
-	b = append(b, ',')
-	b = append(b, ev.Kind...)
-	b = appendOptInt(b, int64(ev.Lib), ev.Lib >= 0)
-	b = appendOptInt(b, int64(ev.Drive), ev.Drive >= 0)
-	b = appendOptInt(b, int64(ev.Tape), ev.Tape >= 0)
-	b = appendOptInt(b, ev.Req, ev.Req >= 0)
-	b = appendOptInt(b, ev.Span, ev.Span != 0)
-	b = appendOptInt(b, ev.Bytes, ev.Bytes != 0)
-	b = append(b, ',')
-	if ev.Dur != 0 {
-		b = appendFloat(b, ev.Dur)
-	}
-	b = appendOptInt(b, int64(ev.Queue), ev.Queue != 0)
-	b = append(b, ',')
-	b = append(b, ev.Name...) // resource names contain no commas/quotes
-	b = append(b, '\n')
-	c.line = b
-	if _, err := c.w.Write(b); err != nil {
+	c.line = c.enc.appendCSV(c.line[:0], &ev)
+	if _, err := c.w.Write(c.line); err != nil {
 		c.err = err
 	}
-}
-
-// appendOptInt appends ",v" when present, "," otherwise.
-func appendOptInt(b []byte, v int64, present bool) []byte {
-	b = append(b, ',')
-	if present {
-		b = strconv.AppendInt(b, v, 10)
-	}
-	return b
 }
 
 // Close flushes buffered rows and reports the first write error.

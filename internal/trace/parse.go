@@ -16,25 +16,27 @@ import (
 
 // jsonEvent mirrors Event for decoding: the index fields are pointers so
 // an omitted key (meaning -1 under the schema's omission rules) is
-// distinguishable from an explicit 0.
+// distinguishable from an explicit 0. They are int32 like Event's, so
+// encoding/json rejects a value outside int32 instead of wrapping it.
 type jsonEvent struct {
 	T     float64 `json:"t"`
 	Kind  string  `json:"kind"`
-	Lib   *int    `json:"lib"`
-	Drive *int    `json:"drive"`
-	Tape  *int    `json:"tape"`
+	Lib   *int32  `json:"lib"`
+	Drive *int32  `json:"drive"`
+	Tape  *int32  `json:"tape"`
 	Req   *int64  `json:"req"`
 	Span  int64   `json:"span"`
 	Bytes int64   `json:"bytes"`
 	Dur   float64 `json:"dur"`
-	Queue int     `json:"queue"`
+	Queue int32   `json:"queue"`
 	Name  string  `json:"name"`
 }
 
 // ParseJSONL reads a JSONL trace (as written by JSONLWriter) back into an
 // event slice. Blank lines are skipped; a malformed line fails with its
-// 1-based line number. Unknown keys are ignored so newer schema revisions
-// still parse.
+// 1-based line number, and so does a line whose kind is not a declared
+// Kind or whose lib, drive, tape or queue lies outside int32: the event
+// types cannot hold either. Unknown keys are ignored.
 func ParseJSONL(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -50,8 +52,12 @@ func ParseJSONL(r io.Reader) ([]Event, error) {
 		if err := json.Unmarshal(raw, &je); err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", line, err)
 		}
+		kind, ok := ParseKind(je.Kind)
+		if !ok {
+			return nil, fmt.Errorf("trace: line %d: unknown kind %q", line, je.Kind)
+		}
 		ev := Event{
-			T: je.T, Kind: Kind(je.Kind),
+			T: je.T, Kind: kind,
 			Lib: -1, Drive: -1, Tape: -1, Req: -1,
 			Span: je.Span, Bytes: je.Bytes, Dur: je.Dur, Queue: je.Queue, Name: je.Name,
 		}

@@ -6,10 +6,11 @@
 // Tracing is opt-in and zero-cost when disabled: every emit site guards on
 // a nil Recorder before building the event, so the simulation hot path
 // performs no extra allocations or calls when no recorder is attached.
-// When enabled, each event is a flat value (no pointers, no maps) whose
-// JSONL encoding is byte-deterministic for a given simulation seed — the
-// determinism contract in docs/ARCHITECTURE.md extends to traces: same
-// seed, same configuration, same trace bytes.
+// When enabled, each event is an 80-byte value whose one pointer is its
+// Name string (no maps, no slices), and whose JSONL encoding is
+// byte-deterministic for a given simulation seed — the determinism
+// contract in docs/ARCHITECTURE.md extends to traces: same seed, same
+// configuration, same trace bytes.
 //
 // The package provides three recorders:
 //
@@ -25,113 +26,171 @@
 // Recorders compose with Tee for simultaneous export and aggregation.
 package trace
 
-// Kind labels one simulator event. The string values are part of the
-// exported trace schema documented in docs/OBSERVABILITY.md; do not
-// renumber or rename without updating the document and the golden trace.
-type Kind string
+import "strconv"
+
+// Kind labels one simulator event. In memory it is a small integer, so
+// events stay compact and a switch on the kind compiles to a jump table;
+// on the wire (JSONL, CSV, text) it is the kind's name. The names are part
+// of the exported trace schema documented in docs/OBSERVABILITY.md; do not
+// rename one without updating the document and the golden traces. The
+// integer values are not part of the schema.
+//
+// Kind is uint16 rather than uint8 so that go vet's stringintconv check
+// flags string(k), which would yield a one-rune string, not the name.
+type Kind uint16
 
 // Event kinds emitted by internal/tapesys (request lifecycle and the
 // mount pipeline) and internal/sim (resource contention and latches).
 const (
 	// KindSubmit marks a request submission (Req, Bytes set).
-	KindSubmit Kind = "submit"
+	KindSubmit Kind = iota + 1
 	// KindServeStart marks a drive beginning to seek+read one tape group.
-	KindServeStart Kind = "serve-start"
+	KindServeStart
 	// KindSeek carries the planned total seek time of one tape-group
 	// service in Dur; emitted at serve start.
-	KindSeek Kind = "seek"
+	KindSeek
 	// KindTransfer carries the planned total transfer time of one
 	// tape-group service in Dur; emitted at serve start.
-	KindTransfer Kind = "transfer"
+	KindTransfer
 	// KindServeEnd marks a drive finishing a tape group; Dur is the whole
 	// service span (seek + transfer).
-	KindServeEnd Kind = "serve-end"
+	KindServeEnd
 	// KindRewind marks the start of a switch chain; Dur is the planned
 	// rewind+unload time of the outgoing cartridge. Emitted for every
 	// switch — an empty drive carries Tape -1 and Dur 0 — so each switch
 	// span has an observable start.
-	KindRewind Kind = "rewind"
+	KindRewind
 	// KindRobot marks the robot beginning the stow+fetch cartridge moves;
 	// Dur is the planned arm occupancy.
-	KindRobot Kind = "robot"
+	KindRobot
 	// KindLoad marks the drive loading/threading the incoming tape; Dur
 	// is the planned load+thread time.
-	KindLoad Kind = "load"
+	KindLoad
 	// KindMounted marks the incoming tape ready at BOT; Dur is the full
 	// switch latency for this drive (rewind start to mount, including
 	// robot queueing).
-	KindMounted Kind = "mounted"
+	KindMounted
 	// KindComplete marks request completion; Dur is the response time.
-	KindComplete Kind = "complete"
+	KindComplete
 	// KindDriveFailed marks a drive taken out of service. Manual
 	// (FailDrive) failures carry Tape/Req −1; injected failures carry the
 	// interrupted request and, for mid-service failures, the tape being
 	// read (docs/RESILIENCE.md).
-	KindDriveFailed Kind = "drive-failed"
+	KindDriveFailed
 	// KindDriveRepaired marks a failed drive returning to service, stamped
 	// at the instant the simulator observes the repair.
-	KindDriveRepaired Kind = "drive-repaired"
+	KindDriveRepaired
 	// KindRobotFailed marks a robot-arm outage observed by a switch
 	// holding the arm; Dur is the remaining outage the holder rides out.
-	KindRobotFailed Kind = "robot-failed"
+	KindRobotFailed
 	// KindRobotRepaired marks the robot arm returning to service.
-	KindRobotRepaired Kind = "robot-repaired"
+	KindRobotRepaired
 	// KindMediaError marks a permanent media error: the read of Tape for
 	// Req is lost (Bytes = the abandoned group's payload, Dur = the time
 	// already spent in the failed service).
-	KindMediaError Kind = "media-error"
+	KindMediaError
 	// KindOpRetried marks an interrupted tape-group operation being
 	// re-dispatched to a surviving drive; Queue is the attempt number
 	// (1 = first retry) and Dur the retry backoff applied.
-	KindOpRetried Kind = "op-retried"
+	KindOpRetried
 	// KindRequestTimedOut marks a request exceeding its timeout
 	// (Options.RequestTimeout); stamped at the deadline, with Bytes = the
 	// payload delivered by then and Dur = the timeout.
-	KindRequestTimedOut Kind = "request-timeout"
+	KindRequestTimedOut
 
 	// KindResourceWait marks an acquire that found the resource busy and
 	// queued; Queue is the queue depth after enqueueing.
-	KindResourceWait Kind = "resource-wait"
+	KindResourceWait
 	// KindResourceGrant marks a grant firing; Dur is the time the grantee
 	// spent queued and Queue the remaining queue depth.
-	KindResourceGrant Kind = "resource-grant"
+	KindResourceGrant
 	// KindResourceRelease marks a holder releasing; Dur is the hold time
 	// and Queue the number of waiters left behind.
-	KindResourceRelease Kind = "resource-release"
+	KindResourceRelease
 	// KindLatchOpen marks a countdown latch reaching zero (the last of a
 	// set of parallel activities finished).
-	KindLatchOpen Kind = "latch-open"
+	KindLatchOpen
 )
+
+// kindNames is the name table: each declared Kind's schema name, indexed
+// by the Kind. Kind 0, the zero value, has the empty name, so a zero Event
+// still encodes "kind":"".
+var kindNames = [...]string{
+	0:                   "",
+	KindSubmit:          "submit",
+	KindServeStart:      "serve-start",
+	KindSeek:            "seek",
+	KindTransfer:        "transfer",
+	KindServeEnd:        "serve-end",
+	KindRewind:          "rewind",
+	KindRobot:           "robot",
+	KindLoad:            "load",
+	KindMounted:         "mounted",
+	KindComplete:        "complete",
+	KindDriveFailed:     "drive-failed",
+	KindDriveRepaired:   "drive-repaired",
+	KindRobotFailed:     "robot-failed",
+	KindRobotRepaired:   "robot-repaired",
+	KindMediaError:      "media-error",
+	KindOpRetried:       "op-retried",
+	KindRequestTimedOut: "request-timeout",
+	KindResourceWait:    "resource-wait",
+	KindResourceGrant:   "resource-grant",
+	KindResourceRelease: "resource-release",
+	KindLatchOpen:       "latch-open",
+}
+
+// numKinds is one past the largest declared Kind.
+const numKinds = len(kindNames)
+
+// String returns the kind's schema name, or "Kind(n)" for a value no
+// constant declares.
+func (k Kind) String() string {
+	if int(k) < numKinds {
+		return kindNames[k]
+	}
+	return "Kind(" + strconv.Itoa(int(k)) + ")"
+}
+
+// ParseKind returns the Kind whose schema name is name, and false when no
+// declared kind has that name. The empty name is Kind 0.
+func ParseKind(name string) (Kind, bool) {
+	for k, n := range kindNames {
+		if n == name {
+			return Kind(k), true
+		}
+	}
+	return 0, false
+}
 
 // Kinds returns every declared event kind, in declaration order. The list
 // is the schema's source of truth for completeness checks: the golden
 // fixtures and docs/OBSERVABILITY.md kind tables are tested against it, so
 // a new kind cannot ship unexercised or undocumented.
 func Kinds() []Kind {
-	return []Kind{
-		KindSubmit, KindServeStart, KindSeek, KindTransfer, KindServeEnd,
-		KindRewind, KindRobot, KindLoad, KindMounted, KindComplete,
-		KindDriveFailed, KindDriveRepaired, KindRobotFailed, KindRobotRepaired,
-		KindMediaError, KindOpRetried, KindRequestTimedOut,
-		KindResourceWait, KindResourceGrant, KindResourceRelease, KindLatchOpen,
+	kinds := make([]Kind, 0, numKinds-1)
+	for k := KindSubmit; int(k) < numKinds; k++ {
+		kinds = append(kinds, k)
 	}
+	return kinds
 }
 
 // Event is one recorded simulator event. It is a flat value type: emitting
 // one performs no heap allocation, and the zero value of every field means
 // "not applicable" except where noted. Integer fields use -1 for "not
-// scoped to this dimension".
+// scoped to this dimension". The field order packs the struct into 80
+// bytes (TestEventSize); a reorder must keep it there.
 type Event struct {
 	// T is the simulated time of the event in seconds from run start.
 	T float64
 	// Kind is the event type (schema constant, see docs/OBSERVABILITY.md).
 	Kind Kind
 	// Lib is the library index, -1 when the event is not library-scoped.
-	Lib int
+	Lib int32
 	// Drive is the library-local drive index, -1 when not drive-scoped.
-	Drive int
+	Drive int32
 	// Tape is the library-local tape index, -1 when not tape-scoped.
-	Tape int
+	Tape int32
 	// Req is the request ID being served, -1 when not request-scoped.
 	Req int64
 	// Span identifies the operation (one drive's serve or switch chain)
@@ -147,7 +206,7 @@ type Event struct {
 	// instantaneous markers.
 	Dur float64
 	// Queue is the relevant queue depth for contention events.
-	Queue int
+	Queue int32
 	// Name is the diagnostic name of the emitting component (for
 	// sim-level events, the resource name such as "robot-0").
 	Name string

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
+	"math/rand/v2"
 	"runtime"
 	"strings"
 	"testing"
@@ -116,6 +118,175 @@ func TestParseJSONLBadLine(t *testing.T) {
 	_, err := ParseJSONL(strings.NewReader("{\"t\":0,\"kind\":\"submit\"}\nnot-json\n"))
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("err = %v, want line-2 parse failure", err)
+	}
+}
+
+// TestParseJSONLRejectsWhatEventsCannotHold checks that a kind the schema
+// does not declare, or an index outside int32, fails with its line number
+// instead of being stored as something else.
+func TestParseJSONLRejectsWhatEventsCannotHold(t *testing.T) {
+	const first = `{"t":0,"kind":"submit","req":0}` + "\n\n"
+	cases := []struct {
+		name, line, want string
+	}{
+		{"unknown kind", `{"t":1,"kind":"teleport","req":0}`, `unknown kind "teleport"`},
+		{"kind differing in case", `{"t":1,"kind":"Seek","req":0}`, `unknown kind "Seek"`},
+		{"lib above int32", `{"t":1,"kind":"seek","lib":2147483648}`, "lib"},
+		{"drive below int32", `{"t":1,"kind":"seek","drive":-2147483649}`, "drive"},
+		{"tape above int32", `{"t":1,"kind":"seek","tape":9007199254740993}`, "tape"},
+		{"queue above int32", `{"t":1,"kind":"resource-wait","queue":4294967296}`, "queue"},
+		{"int32 bounds", `{"t":1,"kind":"seek","lib":2147483647,"drive":-2147483648,"queue":-2147483648}`, ""},
+	}
+	for _, c := range cases {
+		events, err := ParseJSONL(strings.NewReader(first + c.line + "\n"))
+		if c.want == "" {
+			if err != nil || len(events) != 2 || events[1].Lib != math.MaxInt32 || events[1].Queue != math.MinInt32 {
+				t.Errorf("%s: parsed %+v, %v", c.name, events, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want a line-3 error mentioning %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestEventSize pins the event at 80 bytes: every Tee copy, Buffer
+// doubling and GC scan pays for each byte.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 80 {
+		t.Errorf("unsafe.Sizeof(Event{}) = %d, want 80", got)
+	}
+}
+
+// TestKindNames checks the name table both ways and the zero Kind.
+func TestKindNames(t *testing.T) {
+	for _, k := range append(Kinds(), 0) {
+		back, ok := ParseKind(k.String())
+		if !ok || back != k {
+			t.Errorf("ParseKind(%q) = %d, %v, want %d", k, back, ok, k)
+		}
+	}
+	if _, ok := ParseKind("Kind(99)"); ok {
+		t.Error(`ParseKind("Kind(99)") succeeded`)
+	}
+	if got := Kind(99).String(); got != "Kind(99)" {
+		t.Errorf("Kind(99).String() = %q", got)
+	}
+	var buf bytes.Buffer
+	if err := WriteJSONL(&buf, []Event{{}}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := buf.String(), `{"t":0,"kind":"","lib":0,"drive":0,"tape":0,"req":0}`+"\n"; got != want {
+		t.Errorf("zero event encodes as %s, want %s", got, want)
+	}
+}
+
+// TestMemoizedEncodingMatchesFreshWriters is the oracle for the writers'
+// memoized fields: over a long random event sequence whose fields repeat
+// heavily, a JSONLWriter and a CSVWriter must write exactly the bytes that
+// a fresh writer per event, which has nothing memoized, writes. The
+// sequence opens with times and durations alternating between +0 and -0,
+// which are equal but encode differently, and with kinds sharing a
+// duration.
+func TestMemoizedEncodingMatchesFreshWriters(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	floats := []float64{0, negZero, 1, 1.5, 7.6, 15.2, 19, 19.000000000000004, 0.1 + 0.2,
+		1e21, 1e-7, 123456.789, -2.5, math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(1)}
+	ints := []int64{-2, -1, 0, 1, 42, 1<<32 | 7, math.MaxInt64, math.MinInt64}
+	idx := []int32{-1, 0, 1, 7, math.MaxInt32, math.MinInt32}
+	kinds := append(Kinds(), 0, Kind(99))
+	names := []string{"", "robot-0", "robot-1"}
+
+	var events []Event
+	for i := 0; i < 8; i++ {
+		z := float64(0)
+		if i%2 == 1 {
+			z = negZero
+		}
+		events = append(events,
+			Event{T: z, Kind: KindRewind, Lib: 0, Drive: 1, Tape: -1, Req: 3, Span: 9, Dur: z},
+			Event{T: z, Kind: KindRobot, Lib: 0, Drive: 1, Tape: 4, Req: 3, Span: 9, Dur: 19},
+			Event{T: 19, Kind: KindLoad, Lib: 0, Drive: 1, Tape: 4, Req: 3, Span: 9, Dur: 19})
+	}
+	r := rand.New(rand.NewPCG(24, 80))
+	prev := events[len(events)-1]
+	for i := 0; i < 20000; i++ {
+		ev := prev
+		// Each field keeps its previous value half the time.
+		keep := func() bool { return r.IntN(2) == 0 }
+		if !keep() {
+			ev.T = floats[r.IntN(len(floats))]
+		}
+		if !keep() {
+			ev.Kind = kinds[r.IntN(len(kinds))]
+		}
+		if !keep() {
+			ev.Lib, ev.Drive, ev.Tape = idx[r.IntN(len(idx))], idx[r.IntN(len(idx))], idx[r.IntN(len(idx))]
+		}
+		if !keep() {
+			ev.Req = ints[r.IntN(len(ints))]
+		}
+		if !keep() {
+			ev.Span = ints[r.IntN(len(ints))]
+		}
+		if !keep() {
+			ev.Bytes = ints[r.IntN(len(ints))]
+		}
+		if !keep() {
+			ev.Dur = floats[r.IntN(len(floats))]
+		}
+		if !keep() {
+			ev.Queue = idx[r.IntN(len(idx))]
+		}
+		if !keep() {
+			ev.Name = names[r.IntN(len(names))]
+		}
+		events = append(events, ev)
+		prev = ev
+	}
+
+	var gotJSON, gotCSV, wantJSON, wantCSV bytes.Buffer
+	jw, cw := NewJSONLWriter(&gotJSON), NewCSVWriter(&gotCSV)
+	header := strings.Join(CSVColumns, ",") + "\n"
+	wantCSV.WriteString(header)
+	for _, ev := range events {
+		jw.Record(ev)
+		cw.Record(ev)
+		var one bytes.Buffer
+		if err := WriteJSONL(&one, []Event{ev}); err != nil {
+			t.Fatal(err)
+		}
+		wantJSON.Write(one.Bytes())
+		one.Reset()
+		if err := WriteCSV(&one, []Event{ev}); err != nil {
+			t.Fatal(err)
+		}
+		wantCSV.WriteString(strings.TrimPrefix(one.String(), header))
+	}
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		format    string
+		got, want []byte
+	}{{"JSONL", gotJSON.Bytes(), wantJSON.Bytes()}, {"CSV", gotCSV.Bytes(), wantCSV.Bytes()}} {
+		if bytes.Equal(c.got, c.want) {
+			continue
+		}
+		got, want := strings.Split(string(c.got), "\n"), strings.Split(string(c.want), "\n")
+		for i := range min(len(got), len(want)) {
+			if got[i] != want[i] {
+				t.Fatalf("%s line %d: memoized writer wrote\n%s\nfresh writer wrote\n%s", c.format, i+1, got[i], want[i])
+			}
+		}
+		t.Fatalf("%s: memoized writer wrote %d lines, fresh writers %d", c.format, len(got), len(want))
+	}
+	if !strings.Contains(gotJSON.String(), `{"t":-0,"kind":"rewind"`) {
+		t.Error(`no "t":-0 line: the sequence lost its signed zeros`)
 	}
 }
 
