@@ -1,5 +1,6 @@
 # Developer entry points. `make check` is the verification gate run before
-# every commit: build + vet + gofmt + race-enabled tests + the doc lints.
+# every commit: build + vet + gofmt + race-enabled tests + the doc lints +
+# vet and tests of perfbench (a module of its own, which ./... skips).
 
 GO ?= go
 

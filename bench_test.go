@@ -1,16 +1,18 @@
 package paralleltape
 
 // The bench harness regenerates every exhibit of the paper's evaluation
-// section. One benchmark per table/figure:
+// section. BenchmarkExhibit has one sub-benchmark per exhibit ID, in the
+// order experiments.IDs lists them:
 //
-//	go test -bench=. -benchmem                 # reduced (Quick) scale
-//	PAPERSCALE=full go test -bench=. -benchmem # full 30k-object scale
+//	go test -bench=Exhibit -benchmem                      # reduced (Quick) scale
+//	go test -bench=Exhibit/fig6 -benchmem                 # one exhibit
+//	PAPERSCALE=full go test -bench=Exhibit/fig6 -benchmem # full 30k-object scale
 //
-// Each benchmark executes the whole experiment (every scheme × parameter
-// point with the paper's request-stream averaging), prints the regenerated
-// table once, and reports the parallel-batch bandwidth at the experiment's
-// reference point as a custom metric (MB/s) so runs can be compared
-// numerically.
+// Each sub-benchmark executes the whole experiment (every scheme ×
+// parameter point with the paper's request-stream averaging), prints the
+// regenerated table once, and reports the parallel-batch bandwidth at the
+// experiment's reference point as a custom metric (MB/s) so runs can be
+// compared numerically.
 
 import (
 	"fmt"
@@ -19,6 +21,7 @@ import (
 	"testing"
 
 	"paralleltape/internal/cluster"
+	"paralleltape/internal/experiments"
 	"paralleltape/internal/loadbalance"
 	"paralleltape/internal/organpipe"
 	"paralleltape/internal/units"
@@ -59,11 +62,11 @@ func runExhibit(b *testing.B, id string) {
 		}
 	}
 	// Reference metric: mean parallel-batch bandwidth over the exhibit's
-	// rows (table1 has no rows).
+	// simulated rows (table1 has no rows; phases' rows carry no stats).
 	var sum float64
 	var n int
 	for _, r := range rep.Rows {
-		if r.Scheme == "parallel-batch" && r.Err == nil {
+		if r.Scheme == "parallel-batch" && r.Err == nil && r.Stats.Requests > 0 {
 			sum += r.Stats.MeanBandwidth
 			n++
 		}
@@ -73,57 +76,12 @@ func runExhibit(b *testing.B, id string) {
 	}
 }
 
-// BenchmarkTable1 regenerates Table 1 (drive/library specifications).
-func BenchmarkTable1(b *testing.B) { runExhibit(b, "table1") }
-
-// BenchmarkFig5SwitchDrives regenerates Figure 5: bandwidth vs. the number
-// of switch drives m for several Zipf α values.
-func BenchmarkFig5SwitchDrives(b *testing.B) { runExhibit(b, "fig5") }
-
-// BenchmarkFig6Alpha regenerates Figure 6: bandwidth vs. α for the three
-// schemes at ≈213 GB mean request size.
-func BenchmarkFig6Alpha(b *testing.B) { runExhibit(b, "fig6") }
-
-// BenchmarkFig7RequestSize regenerates Figure 7: bandwidth vs. average
-// request size, including the all-mounted extreme case.
-func BenchmarkFig7RequestSize(b *testing.B) { runExhibit(b, "fig7") }
-
-// BenchmarkFig8Libraries regenerates Figure 8: bandwidth vs. the number of
-// tape libraries at ≈240 GB mean request size.
-func BenchmarkFig8Libraries(b *testing.B) { runExhibit(b, "fig8") }
-
-// BenchmarkFig9Components regenerates Figure 9: the switch/seek/transfer
-// decomposition of response time at ≈160 GB mean request size.
-func BenchmarkFig9Components(b *testing.B) { runExhibit(b, "fig9") }
-
-// BenchmarkTechScaling regenerates the §6 closing remark: scheme behavior
-// under improved drive/cartridge technology.
-func BenchmarkTechScaling(b *testing.B) { runExhibit(b, "tech") }
-
-// BenchmarkRobustness regenerates the §6 robustness remark: the scheme
-// ordering under workload variations.
-func BenchmarkRobustness(b *testing.B) { runExhibit(b, "robustness") }
-
-// BenchmarkAblation quantifies the parallel-batch design choices
-// (clustering, organ-pipe alignment, zigzag balancing, cluster splitting,
-// hot-batch width) by disabling one at a time.
-func BenchmarkAblation(b *testing.B) { runExhibit(b, "ablation") }
-
-// BenchmarkStriping regenerates the §2 striping comparison: parallel batch
-// vs. RAIT-style striped placement at several stripe units.
-func BenchmarkStriping(b *testing.B) { runExhibit(b, "striping") }
-
-// BenchmarkOnline regenerates the §7 future-work study: per-epoch local
-// knowledge vs. full-knowledge placement.
-func BenchmarkOnline(b *testing.B) { runExhibit(b, "online") }
-
-// BenchmarkScheduler sweeps simulator scheduling policies (pending-queue
-// order × victim selection).
-func BenchmarkScheduler(b *testing.B) { runExhibit(b, "scheduler") }
-
-// BenchmarkSensitivity sweeps the §5.1 clustering knobs (linkage,
-// threshold) on the parallel batch placement.
-func BenchmarkSensitivity(b *testing.B) { runExhibit(b, "sensitivity") }
+// BenchmarkExhibit regenerates every exhibit, one sub-benchmark per ID.
+func BenchmarkExhibit(b *testing.B) {
+	for _, id := range experiments.IDs() {
+		b.Run(id, func(b *testing.B) { runExhibit(b, id) })
+	}
+}
 
 // BenchmarkPlacementParallelBatch measures raw placement cost (clustering
 // + sublists + balancing + alignment) at the configured scale.

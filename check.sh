@@ -2,10 +2,13 @@
 # check.sh — the repository's verification gate (same steps as `make check`):
 # build everything, vet everything, fail if gofmt would reformat any .go
 # file of the main module's packages or of perfbench/ (a module of its own),
-# run the full test suite under the race detector, and run the doc lint
-# (every exported identifier in internal/trace, internal/faults,
-# internal/spans, and the internal/sim kernel must carry a doc comment, and
-# each package a package-level comment; see doclint_test.go at the root).
+# run the full test suite under the race detector, run the doc lint (every
+# exported identifier in internal/trace, internal/faults, internal/spans,
+# and the internal/sim kernel must carry a doc comment, and each package a
+# package-level comment; see doclint_test.go at the root), and vet and test
+# perfbench, which the root ./... patterns skip: it compiles against the
+# main module's API, so a change that breaks it fails here rather than in a
+# benchmark run.
 set -eu
 
 echo "== go build ./..."
@@ -29,5 +32,8 @@ go test -race ./...
 
 echo "== doc lint (internal/trace + internal/faults + internal/spans + internal/sim exported identifiers)"
 go test . -run TestExportedIdentifiersHaveDocComments -count=1
+
+echo "== perfbench: go vet ./... && go test ./..."
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "check: OK"

@@ -148,6 +148,15 @@ func isCSVPath(path string) bool {
 }
 
 func run(o options) error {
+	for _, f := range []struct {
+		name string
+		n    int
+	}{{"requests", o.requests}, {"events", o.events}, {"explain", o.explain}} {
+		if f.n < 0 {
+			return fmt.Errorf("-%s must not be negative, got %d", f.name, f.n)
+		}
+	}
+
 	// Create every output destination first, so an unwritable or
 	// uncreatable path fails in milliseconds at flag-handling time rather
 	// than after the simulation completes.

@@ -73,6 +73,18 @@ func TestRunBadInputs(t *testing.T) {
 	if err := runSmall(t, "parallel-batch", func(o *options) { o.libraries = 0 }); err == nil {
 		t.Error("zero libraries accepted")
 	}
+	// Negative counts are errors: unchecked, -requests panics in
+	// makeslice and -events and -explain are silently ignored.
+	for name, set := range map[string]func(o *options){
+		"requests": func(o *options) { o.requests = -3 },
+		"events":   func(o *options) { o.events = -2 },
+		"explain":  func(o *options) { o.explain = -2 },
+	} {
+		err := runSmall(t, "parallel-batch", set)
+		if err == nil || !strings.Contains(err.Error(), "-"+name) {
+			t.Errorf("negative -%s: err = %v, want an error naming the flag", name, err)
+		}
+	}
 }
 
 func TestRunFromWorkloadTrace(t *testing.T) {

@@ -96,7 +96,8 @@ func NewModel(hw tape.Hardware, pl *placement.Result) (*Model, error) {
 //     largest single-tape seek+transfer chain in that library), and at
 //     least the largest mounted-tape service anywhere.
 func (m *Model) EstimateRequest(r *model.Request) (Estimate, error) {
-	groups, err := m.cat.GroupRequest(r)
+	// A Grouper per call keeps the Model immutable.
+	groups, err := catalog.NewGrouper(m.cat).Group(r)
 	if err != nil {
 		return Estimate{}, err
 	}

@@ -7,7 +7,6 @@
 package catalog
 
 import (
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -94,17 +93,6 @@ func (c *Catalog) Tapes() []tape.Key {
 	return keys
 }
 
-// NumPlaced returns how many objects have a location.
-func (c *Catalog) NumPlaced() int {
-	n := 0
-	for _, p := range c.present {
-		if p {
-			n++
-		}
-	}
-	return n
-}
-
 // TapeGroup is the portion of one request living on one cartridge.
 type TapeGroup struct {
 	Tape    tape.Key
@@ -112,46 +100,12 @@ type TapeGroup struct {
 	Bytes   int64
 }
 
-// GroupRequest resolves a request into per-cartridge groups, sorted by
-// cartridge key (deterministic scheduling input). It fails if any object
-// is unplaced.
-func (c *Catalog) GroupRequest(r *model.Request) ([]TapeGroup, error) {
-	byTape := make(map[tape.Key]*TapeGroup)
-	for _, id := range r.Objects {
-		loc, ok := c.Lookup(id)
-		if !ok {
-			return nil, fmt.Errorf("catalog: request %d needs unplaced object %d", r.ID, id)
-		}
-		g := byTape[loc.Tape]
-		if g == nil {
-			g = &TapeGroup{Tape: loc.Tape}
-			byTape[loc.Tape] = g
-		}
-		g.Extents = append(g.Extents, loc.Extent)
-		g.Bytes += loc.Extent.Size
-	}
-	groups := make([]TapeGroup, 0, len(byTape))
-	for _, g := range byTape {
-		// Starts are unique per cartridge: total order, unstable sort OK.
-		slices.SortFunc(g.Extents, func(a, b tape.Extent) int {
-			return cmp.Compare(a.Start, b.Start)
-		})
-		groups = append(groups, *g)
-	}
-	slices.SortFunc(groups, func(a, b TapeGroup) int {
-		if a.Tape.Library != b.Tape.Library {
-			return a.Tape.Library - b.Tape.Library
-		}
-		return a.Tape.Index - b.Tape.Index
-	})
-	return groups, nil
-}
-
 // Grouper resolves requests into per-cartridge groups with reusable
-// scratch. It produces output identical to Catalog.GroupRequest — same
-// groups, same ordering — but amortizes all bookkeeping across calls: the
-// per-group extent slices are carved out of one shared arena, so a caller
-// that issues many requests (the simulator's Submit hot path) performs no
+// scratch: the groups come out sorted by cartridge key (library, then
+// index) — the deterministic scheduling input — and each group's extents
+// by start. All bookkeeping is amortized across calls: the per-group
+// extent slices are carved out of one shared arena, so a caller that
+// issues many requests (the simulator's Submit hot path) performs no
 // steady-state allocations here. The returned slice and everything it
 // references are owned by the Grouper and valid only until the next Group
 // call. A Grouper is not safe for concurrent use.
@@ -197,8 +151,9 @@ func NewGrouper(c *Catalog) *Grouper {
 	}
 }
 
-// Group is GroupRequest with scratch reuse; see the Grouper doc comment for
-// the aliasing contract.
+// Group resolves r into per-cartridge groups. It fails if any object is
+// unplaced; the Grouper stays usable for the next request. See the Grouper
+// doc comment for the ordering and aliasing contract.
 func (gr *Grouper) Group(r *model.Request) ([]TapeGroup, error) {
 	c := gr.c
 	gr.gen++
@@ -259,8 +214,6 @@ func (gr *Grouper) Group(r *model.Request) ([]TapeGroup, error) {
 		counts[gi]++
 	}
 	for gi := range groups {
-		// Starts are unique per cartridge, so any correct sort yields the
-		// same order GroupRequest's sort.Slice did.
 		sortExtentsByStart(groups[gi].Extents)
 	}
 	out := gr.sortGroups(groups)

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"paralleltape/internal/model"
@@ -65,8 +66,10 @@ func TestLookup(t *testing.T) {
 
 func TestNumPlacedAndTapes(t *testing.T) {
 	c := build(t)
-	if got := c.NumPlaced(); got != 4 {
-		t.Errorf("NumPlaced = %d", got)
+	for id := model.ObjectID(0); id < 4; id++ {
+		if _, ok := c.Lookup(id); !ok {
+			t.Errorf("object %d not placed", id)
+		}
 	}
 	keys := c.Tapes()
 	if len(keys) != 2 {
@@ -108,7 +111,7 @@ func TestAddLayoutRejectsUnknownObject(t *testing.T) {
 func TestGroupRequest(t *testing.T) {
 	c := build(t)
 	r := &model.Request{ID: 0, Prob: 1, Objects: []model.ObjectID{0, 2, 3}}
-	groups, err := c.GroupRequest(r)
+	groups, err := NewGrouper(c).Group(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +133,55 @@ func TestGroupRequest(t *testing.T) {
 func TestGroupRequestUnplaced(t *testing.T) {
 	c := New(5)
 	r := &model.Request{ID: 0, Prob: 1, Objects: []model.ObjectID{4}}
-	if _, err := c.GroupRequest(r); err == nil {
+	if _, err := NewGrouper(c).Group(r); err == nil {
 		t.Error("unplaced object grouped without error")
+	}
+}
+
+// TestGrouperReuse runs one Grouper over two different requests back to
+// back, then over a request that fails midway on an unplaced object, then
+// over one more request: each result must equal the grouping worked out by
+// hand from build's layout (L0.T0 holds 0@0+100 and 1@100+200; L1.T2 holds
+// 2@0+300 and 3@300+150), so no state leaks from one call into the next.
+func TestGrouperReuse(t *testing.T) {
+	c := build(t)
+	gr := NewGrouper(c)
+	l0, l1 := tape.Key{Library: 0, Index: 0}, tape.Key{Library: 1, Index: 2}
+	e0 := tape.Extent{Object: 0, Start: 0, Size: 100}
+	e1 := tape.Extent{Object: 1, Start: 100, Size: 200}
+	e2 := tape.Extent{Object: 2, Start: 0, Size: 300}
+	e3 := tape.Extent{Object: 3, Start: 300, Size: 150}
+	steps := []struct {
+		objects []model.ObjectID
+		want    []TapeGroup // nil: the request must fail
+	}{
+		{[]model.ObjectID{3, 0, 2}, []TapeGroup{
+			{Tape: l0, Extents: []tape.Extent{e0}, Bytes: 100},
+			{Tape: l1, Extents: []tape.Extent{e2, e3}, Bytes: 450},
+		}},
+		{[]model.ObjectID{1, 0}, []TapeGroup{
+			{Tape: l0, Extents: []tape.Extent{e0, e1}, Bytes: 300},
+		}},
+		{[]model.ObjectID{2, 1, 9}, nil},
+		{[]model.ObjectID{3, 1}, []TapeGroup{
+			{Tape: l0, Extents: []tape.Extent{e1}, Bytes: 200},
+			{Tape: l1, Extents: []tape.Extent{e3}, Bytes: 150},
+		}},
+	}
+	for i, st := range steps {
+		got, err := gr.Group(&model.Request{ID: model.RequestID(i), Prob: 1, Objects: st.objects})
+		if st.want == nil {
+			if err == nil {
+				t.Errorf("request %d (%v): unplaced object grouped without error", i, st.objects)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("request %d (%v): %v", i, st.objects, err)
+		}
+		if !reflect.DeepEqual(got, st.want) {
+			t.Errorf("request %d (%v):\n got  %+v\n want %+v", i, st.objects, got, st.want)
+		}
 	}
 }
 
@@ -204,9 +254,6 @@ func TestJSONRoundTrip(t *testing.T) {
 	got, err := ReadJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got.NumPlaced() != 4 {
-		t.Errorf("NumPlaced after round trip = %d", got.NumPlaced())
 	}
 	loc, ok := got.Lookup(3)
 	if !ok || loc.Tape != (tape.Key{Library: 1, Index: 2}) || loc.Extent.Start != 300 {

@@ -3,6 +3,8 @@ package catalog
 import (
 	"bytes"
 	"testing"
+
+	"paralleltape/internal/model"
 )
 
 // FuzzReadJSON checks the catalog reader never panics and only accepts
@@ -26,8 +28,15 @@ func FuzzReadJSON(f *testing.F) {
 		if err != nil {
 			t.Fatalf("round trip rejected: %v", err)
 		}
-		if c2.NumPlaced() != c.NumPlaced() {
-			t.Fatalf("round trip changed placement count: %d vs %d", c.NumPlaced(), c2.NumPlaced())
+		if c2.numObjects != c.numObjects {
+			t.Fatalf("round trip changed the object count: %d vs %d", c.numObjects, c2.numObjects)
+		}
+		for id := 0; id < c.numObjects; id++ {
+			a, okA := c.Lookup(model.ObjectID(id))
+			b, okB := c2.Lookup(model.ObjectID(id))
+			if a != b || okA != okB {
+				t.Fatalf("round trip moved object %d: %+v, %v vs %+v, %v", id, a, okA, b, okB)
+			}
 		}
 	})
 }

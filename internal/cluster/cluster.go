@@ -180,13 +180,6 @@ func Run(w *model.Workload, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// buildAtoms groups objects by request signature. Test-only compatibility
-// shim over buildAtomsInto; the returned atoms reference the scratch, which
-// is deliberately not recycled.
-func buildAtoms(w *model.Workload) ([]atom, []model.ObjectID) {
-	return buildAtomsInto(w, &scratch{})
-}
-
 // buildAtomsInto groups objects by request signature using s for every
 // intermediate. The returned atoms alias s (objects and reqs point into
 // scratch arenas) and are valid until the next use of s; unreferenced is
@@ -336,13 +329,6 @@ type pairEdge struct {
 type edgeEntry struct {
 	key int64
 	p   float64
-}
-
-// buildEdges computes s(a,b) for all co-occurring atom pairs. Test-only
-// compatibility shim over buildEdgesInto.
-func buildEdges(w *model.Workload, atoms []atom) []pairEdge {
-	s := &scratch{}
-	return slices.Clone(buildEdgesInto(w, atoms, s))
 }
 
 // buildEdgesInto computes s(a,b) for all co-occurring atom pairs into
@@ -1015,37 +1001,6 @@ func agglomerateInto(w *model.Workload, atoms []atom, cfg Config, s *scratch) []
 		out = append(out, cl)
 	}
 	return out
-}
-
-// Summary describes a clustering result for reports.
-type Summary struct {
-	NumClusters   int
-	NumSingletons int
-	MaxObjects    int
-	MeanObjects   float64
-	TotalBytes    int64
-	Unreferenced  int
-}
-
-// Summarize computes result statistics.
-func (r *Result) Summarize() Summary {
-	s := Summary{NumClusters: len(r.Clusters), Unreferenced: len(r.Unreferenced)}
-	total := 0
-	for _, c := range r.Clusters {
-		n := len(c.Objects)
-		total += n
-		if n == 1 {
-			s.NumSingletons++
-		}
-		if n > s.MaxObjects {
-			s.MaxObjects = n
-		}
-		s.TotalBytes += c.Bytes
-	}
-	if len(r.Clusters) > 0 {
-		s.MeanObjects = float64(total) / float64(len(r.Clusters))
-	}
-	return s
 }
 
 // Validate checks that the result partitions the referenced objects of w:

@@ -181,7 +181,7 @@ func TestAtomCollapse(t *testing.T) {
 	// Objects 0..3 all belong to exactly requests {0,1}: one atom. The
 	// result must still report them as one cluster at low threshold.
 	w := wl(4, []model.ObjectID{0, 1, 2, 3}, []model.ObjectID{0, 1, 2, 3})
-	atoms, unref := buildAtoms(w)
+	atoms, unref := buildAtomsInto(w, &scratch{})
 	if len(atoms) != 1 {
 		t.Fatalf("atoms = %d, want 1", len(atoms))
 	}
@@ -196,7 +196,7 @@ func TestAtomCollapse(t *testing.T) {
 func TestAtomsSplitBySignature(t *testing.T) {
 	// 0,1 in request 0 only; 2 in both; 3 in request 1 only → 3 atoms.
 	w := wl(4, []model.ObjectID{0, 1, 2}, []model.ObjectID{2, 3})
-	atoms, _ := buildAtoms(w)
+	atoms, _ := buildAtomsInto(w, &scratch{})
 	if len(atoms) != 3 {
 		t.Fatalf("atoms = %+v", atoms)
 	}
@@ -207,8 +207,9 @@ func TestBuildEdgesSimilarity(t *testing.T) {
 	// s(A,B)=P0, s(B,C)=P1, s(A,C)=0 (no shared request).
 	w := wlWeighted(4, []float64{0.7, 0.3},
 		[]model.ObjectID{0, 1, 2}, []model.ObjectID{2, 3})
-	atoms, _ := buildAtoms(w)
-	edges := buildEdges(w, atoms)
+	s := &scratch{}
+	atoms, _ := buildAtomsInto(w, s)
+	edges := buildEdgesInto(w, atoms, s)
 	if len(edges) != 2 {
 		t.Fatalf("edges = %+v", edges)
 	}
@@ -237,30 +238,6 @@ func TestLinkageString(t *testing.T) {
 	}
 	if Linkage(9).String() == "" {
 		t.Error("unknown linkage has empty name")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	w := wl(5, []model.ObjectID{0, 1, 2}, []model.ObjectID{3})
-	res, err := Run(w, Config{Threshold: 0.01, Linkage: Average})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := res.Summarize()
-	if s.NumClusters != 2 {
-		t.Errorf("NumClusters = %d", s.NumClusters)
-	}
-	if s.NumSingletons != 1 {
-		t.Errorf("NumSingletons = %d", s.NumSingletons)
-	}
-	if s.MaxObjects != 3 {
-		t.Errorf("MaxObjects = %d", s.MaxObjects)
-	}
-	if s.Unreferenced != 1 {
-		t.Errorf("Unreferenced = %d", s.Unreferenced)
-	}
-	if s.TotalBytes != 40 {
-		t.Errorf("TotalBytes = %d", s.TotalBytes)
 	}
 }
 

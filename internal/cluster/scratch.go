@@ -13,7 +13,7 @@ import (
 // steady-state allocation count independent of workload size. Nothing in a
 // scratch escapes into the returned Result — outputs are freshly allocated.
 type scratch struct {
-	// buildAtoms: object→request CSR index, signature-sorted ids, atoms.
+	// buildAtomsInto: object→request CSR index, signature-sorted ids, atoms.
 	objReqOff []int32
 	objReqs   []model.RequestID
 	cursor    []int32
@@ -22,7 +22,7 @@ type scratch struct {
 	atoms     []atom
 	split     []atom
 
-	// buildEdges: request→atom CSR index, flat pair contributions (plus
+	// buildEdgesInto: request→atom CSR index, flat pair contributions (plus
 	// radix-sort temporaries and count arrays), edges.
 	reqOff     []int32
 	reqAtoms   []int32

@@ -22,7 +22,6 @@ type Zipf struct {
 	N     int
 	Alpha float64
 	probs []float64 // probs[i] is the probability of rank i+1
-	cdf   []float64
 }
 
 // NewZipf builds a Zipf distribution over n ranks. It panics if n <= 0 or
@@ -42,14 +41,9 @@ func NewZipf(n int, alpha float64) *Zipf {
 		z.probs[r-1] = p
 		sum += p
 	}
-	z.cdf = make([]float64, n)
-	acc := 0.0
 	for i := range z.probs {
 		z.probs[i] /= sum
-		acc += z.probs[i]
-		z.cdf[i] = acc
 	}
-	z.cdf[n-1] = 1 // guard against float drift
 	return z
 }
 
@@ -66,22 +60,6 @@ func (z *Zipf) Probs() []float64 {
 	out := make([]float64, len(z.probs))
 	copy(out, z.probs)
 	return out
-}
-
-// Sample draws a rank in [1, N] with probability P_r.
-func (z *Zipf) Sample(src *rng.Source) int {
-	u := src.Float64()
-	// Binary search the CDF.
-	lo, hi := 0, z.N-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo + 1
 }
 
 // BoundedPareto is a power-law distribution truncated to [Lo, Hi] with

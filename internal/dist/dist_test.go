@@ -48,13 +48,19 @@ func TestZipfRatioMatchesPowerLaw(t *testing.T) {
 	}
 }
 
+// TestZipfSampleFrequencies draws Zipf ranks the way the request stream
+// draws requests, through a Discrete sampler over the Zipf probabilities.
 func TestZipfSampleFrequencies(t *testing.T) {
 	src := rng.New(1)
 	z := NewZipf(10, 1)
+	d, err := NewDiscrete(z.Probs())
+	if err != nil {
+		t.Fatal(err)
+	}
 	const n = 400000
 	counts := make([]int, 11)
 	for i := 0; i < n; i++ {
-		r := z.Sample(src)
+		r := d.Sample(src) + 1
 		if r < 1 || r > 10 {
 			t.Fatalf("sample out of range: %d", r)
 		}
@@ -346,14 +352,6 @@ func TestPowerLawIntErrors(t *testing.T) {
 		if _, err := NewPowerLawInt(c.lo, c.hi, 1); err == nil {
 			t.Errorf("NewPowerLawInt(%d,%d): want error", c.lo, c.hi)
 		}
-	}
-}
-
-func BenchmarkZipfSample(b *testing.B) {
-	src := rng.New(1)
-	z := NewZipf(300, 0.3)
-	for i := 0; i < b.N; i++ {
-		z.Sample(src)
 	}
 }
 

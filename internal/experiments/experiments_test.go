@@ -443,6 +443,26 @@ func TestChaosQuickSeed53Completes(t *testing.T) {
 	}
 }
 
+// TestConfigNegativeCounts: a negative Requests, Workers or Seeds is an
+// error from both entry points; unchecked, each would run as its default
+// (tapebench -requests -5 would simulate 200 requests per run).
+func TestConfigNegativeCounts(t *testing.T) {
+	for name, set := range map[string]func(c *Config){
+		"Requests": func(c *Config) { c.Requests = -5 },
+		"Workers":  func(c *Config) { c.Workers = -3 },
+		"Seeds":    func(c *Config) { c.Seeds = -1 },
+	} {
+		cfg := quickCfg()
+		set(&cfg)
+		if _, err := ByID("fig9", cfg); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("ByID with negative %s: err = %v, want an error naming it", name, err)
+		}
+		if _, err := All(cfg); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("All with negative %s: err = %v, want an error naming it", name, err)
+		}
+	}
+}
+
 func TestConfigBadScale(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Scale = 0

@@ -424,6 +424,9 @@ func IDs() []string {
 // clustering memo, so each distinct (workload content, config) input is
 // clustered once per call; the clustering buffers are released on return.
 func All(cfg Config) ([]*Report, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg.memo = clusterMemo{}
 	defer cluster.ReleaseScratch()
 	var out []*Report
@@ -439,6 +442,9 @@ func All(cfg Config) ([]*Report, error) {
 
 // ByID dispatches one experiment by identifier (see IDs).
 func ByID(id string, cfg Config) (*Report, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	for _, e := range exhibits {
 		if e.id == id {
 			return e.build(cfg)

@@ -134,6 +134,21 @@ func Quick() Config {
 	return c
 }
 
+// validate rejects negative counts: zero Requests, Workers or Seeds
+// selects a default, and a negative one would otherwise run as that
+// default without a word.
+func (c Config) validate() error {
+	for _, f := range []struct {
+		name string
+		n    int
+	}{{"Requests", c.Requests}, {"Workers", c.Workers}, {"Seeds", c.Seeds}} {
+		if f.n < 0 {
+			return fmt.Errorf("experiments: %s must not be negative, got %d", f.name, f.n)
+		}
+	}
+	return nil
+}
+
 func (c Config) workers() int {
 	if c.Workers > 0 {
 		return c.Workers

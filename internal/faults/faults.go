@@ -348,9 +348,6 @@ func (in *Injector) Reset() {
 	}
 }
 
-// Profile returns a copy of the injector's profile (diagnostics).
-func (in *Injector) Profile() Profile { return in.prof }
-
 // DriveDown reports whether global drive g (lib·drivesPerLib+drive) is down
 // at time t, and if so when it returns to service. Per-device query times
 // must be non-decreasing.

@@ -254,12 +254,8 @@ func Imbalance(tapes []*TapeState) float64 {
 	return (maxL - minL) / mean
 }
 
-func leastLoadedOrder(tapes []*TapeState) []int {
-	var p Packer
-	return p.leastLoaded(tapes)
-}
-
-// leastLoaded is leastLoadedOrder into the Packer's reused index buffer.
+// leastLoaded returns the tape indices ordered by (Load, index), in the
+// Packer's reused index buffer.
 func (p *Packer) leastLoaded(tapes []*TapeState) []int {
 	if cap(p.idx) < len(tapes) {
 		p.idx = make([]int, len(tapes))
@@ -284,7 +280,7 @@ func (p *Packer) leastLoaded(tapes []*TapeState) []int {
 // leastLoadedWithRoom returns the index of the tape with the smallest
 // (Load, index) among those with at least size bytes free, or −1 if none
 // qualifies. Iterating ascending with a strict comparison keeps the lowest
-// index on load ties, matching leastLoadedOrder's ranking.
+// index on load ties, matching leastLoaded's ranking.
 func leastLoadedWithRoom(tapes []*TapeState, size int64) int {
 	best := -1
 	for i, t := range tapes {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 
+	"paralleltape/internal/catalog"
 	"paralleltape/internal/model"
 	"paralleltape/internal/tape"
 	"paralleltape/internal/units"
@@ -87,9 +88,10 @@ func Describe(res *Result, w *model.Workload, hw tape.Hardware) (*Description, e
 
 	// Request locality.
 	var probSum float64
+	gr := catalog.NewGrouper(res.Catalog)
 	for i := range w.Requests {
 		r := &w.Requests[i]
-		groups, err := res.Catalog.GroupRequest(r)
+		groups, err := gr.Group(r)
 		if err != nil {
 			return nil, err
 		}

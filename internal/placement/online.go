@@ -33,10 +33,10 @@ type Online struct {
 	// Epochs is the number of arrival waves (1 = full knowledge,
 	// identical information to ParallelBatch). Zero means 4.
 	Epochs int
-	// M, K, SplitThreshold as in ParallelBatch.
-	M              int
-	K              float64
-	SplitThreshold int64
+	// M and K as in ParallelBatch; clusters split across tapes above
+	// DefaultSplitThreshold.
+	M int
+	K float64
 }
 
 // Name implements Scheme.
@@ -65,11 +65,6 @@ func (s Online) Place(w *model.Workload, hw tape.Hardware) (*Result, error) {
 	if err := checkFits(w, hw, k); err != nil {
 		return nil, err
 	}
-	split := s.SplitThreshold
-	if split == 0 {
-		split = DefaultSplitThreshold
-	}
-
 	n := hw.Libraries
 	dm := hw.DrivesPerLib - m
 	cap1 := int64(k * float64(n*dm) * float64(hw.Capacity))
@@ -148,7 +143,7 @@ func (s Online) Place(w *model.Workload, hw tape.Hardware) (*Result, error) {
 				keys = openKeys
 				openBudget -= sublistBytes(sub)
 			}
-			carry, err := allocateSublist(b, w, probs, sub, keys, split, false, &as)
+			carry, err := allocateSublist(b, w, probs, sub, keys, DefaultSplitThreshold, false, &as)
 			if err != nil {
 				return nil, err
 			}
@@ -157,7 +152,7 @@ func (s Online) Place(w *model.Workload, hw tape.Hardware) (*Result, error) {
 				if err := openFresh(); err != nil {
 					return nil, err
 				}
-				next, err := allocateSublist(b, w, probs, carry, openKeys, split, false, &as)
+				next, err := allocateSublist(b, w, probs, carry, openKeys, DefaultSplitThreshold, false, &as)
 				if err != nil {
 					return nil, err
 				}

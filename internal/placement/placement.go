@@ -312,24 +312,6 @@ func hottestMounts(hw tape.Hardware, tapeProb map[tape.Key]float64) ([][]int, []
 	return mounts, pinned
 }
 
-// densityOrder returns object IDs sorted by decreasing probability density
-// P(O)/size(O) (§5.3 step 2), ties broken by ID.
-func densityOrder(w *model.Workload, probs []float64) []model.ObjectID {
-	ids := make([]model.ObjectID, w.NumObjects())
-	for i := range ids {
-		ids[i] = model.ObjectID(i)
-	}
-	sortSliceStable(ids, func(a, b model.ObjectID) bool {
-		da := probs[a] / float64(w.Objects[a].Size)
-		db := probs[b] / float64(w.Objects[b].Size)
-		if da != db {
-			return da > db
-		}
-		return a < b
-	})
-	return ids
-}
-
 // probOrder returns object IDs sorted by decreasing probability (the [11]
 // baseline sorts by raw probability, not density), ties broken by ID.
 func probOrder(w *model.Workload, probs []float64) []model.ObjectID {

@@ -1,13 +1,13 @@
 // Package rng provides a small, fast, deterministic pseudo-random number
 // generator for the simulator. Every simulation run is seeded explicitly so
-// experiments reproduce bit-for-bit; Split derives statistically independent
-// child streams so concurrent experiment workers never share generator
-// state.
+// experiments reproduce bit-for-bit, and each consumer seeds its own Source
+// from the run's seed — the workload generator, each request stream (for
+// example seed ^ 0xDEADBEEF in tapesim) and the fault injector — so
+// concurrent experiment workers never share generator state.
 //
 // The core generator is SplitMix64 (Steele, Lea & Flood, OOPSLA'14), which
 // passes BigCrush, has a 2^64 period per stream, and whose whole state is a
-// single uint64 — ideal for cheaply forking one stream per (experiment,
-// scheme, repetition) triple.
+// single uint64, so a Source per consumer costs nothing.
 package rng
 
 import "math"
@@ -16,8 +16,8 @@ import "math"
 const golden = 0x9E3779B97F4A7C15
 
 // Source is a deterministic SplitMix64 stream. The zero value is a valid
-// generator seeded with 0. Source is not safe for concurrent use; use Split
-// to give each goroutine its own stream.
+// generator seeded with 0. Source is not safe for concurrent use; give each
+// goroutine its own Source.
 type Source struct {
 	state uint64
 }
@@ -138,16 +138,8 @@ func (s *Source) Perm(n int) []int {
 	for i := range p {
 		p[i] = i
 	}
-	s.ShuffleInts(p)
+	s.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
 	return p
-}
-
-// ShuffleInts permutes p in place uniformly at random.
-func (s *Source) ShuffleInts(p []int) {
-	for i := len(p) - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
 }
 
 // Shuffle permutes n elements using the provided swap function.

@@ -227,7 +227,7 @@ func TestShuffleAllPositionsMove(t *testing.T) {
 	counts := make([]int, n)
 	for i := 0; i < trials; i++ {
 		p := []int{0, 1, 2, 3, 4}
-		s.ShuffleInts(p)
+		s.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
 		counts[p[0]]++
 	}
 	want := float64(trials) / n

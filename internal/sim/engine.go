@@ -83,9 +83,6 @@ func (e *Engine) SetEventLimit(n uint64) { e.limit = n }
 // record would dwarf the semantic trace (see docs/OBSERVABILITY.md).
 func (e *Engine) SetRecorder(r trace.Recorder) { e.rec = r }
 
-// Recorder returns the attached trace recorder, nil when tracing is off.
-func (e *Engine) Recorder() trace.Recorder { return e.rec }
-
 // Schedule runs fn after delay simulated seconds. A negative or NaN delay
 // panics: in this simulator a negative latency is always a modelling bug
 // and silently clamping it would corrupt causality.
@@ -112,14 +109,6 @@ func (e *Engine) At(t Time, fn func()) {
 		panic("sim: At with nil callback")
 	}
 	e.at(t, funcOp(fn), 0)
-}
-
-// AtOp runs op.Run(tag) at absolute time t, which must not be in the past.
-func (e *Engine) AtOp(t Time, op Op, tag uint8) {
-	if op == nil {
-		panic("sim: At with nil callback")
-	}
-	e.at(t, op, tag)
 }
 
 // at is the shared schedule core: validate the instant, assign the next

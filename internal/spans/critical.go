@@ -88,8 +88,8 @@ type Step struct {
 // parts decomposes an operation's elapsed time into phases. Serves split
 // into seek then transfer; switches into rewind, robot wait (the
 // residual after the known stage durations), outage, move, and load.
-// The entries sum exactly to Elapsed, so truncated operations (failures,
-// media errors) attribute only the time they actually consumed.
+// The entries sum exactly to End − Start, so truncated operations
+// (failures, media errors) attribute only the time they actually consumed.
 func (op *Op) parts() [NumPhases]float64 {
 	var p [NumPhases]float64
 	el := op.End - op.Start

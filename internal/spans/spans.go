@@ -98,9 +98,6 @@ type Op struct {
 	tapeHint int // target tape revealed by the op's own retry edge
 }
 
-// Elapsed returns the operation's wall-clock span in simulated seconds.
-func (op *Op) Elapsed() float64 { return op.End - op.Start }
-
 // TargetTape returns the operation's target tape, falling back to the
 // tape named by its retry edge when the operation aborted before any
 // stage revealed it; -1 when unknown.

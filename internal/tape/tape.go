@@ -428,32 +428,3 @@ func (h Hardware) SwitchCost() float64 {
 func (h Hardware) AverageSwitchTime() float64 {
 	return h.MaxRewind/2 + h.SwitchCost()
 }
-
-// MaxObjectSize returns the largest object this hardware can store.
-func (h Hardware) MaxObjectSize() int64 { return h.Capacity }
-
-// FormatSummary renders the hardware configuration as the Table 1 block.
-func (h Hardware) FormatSummary() string {
-	return fmt.Sprintf(
-		"Average cell to drive time          %ss\n"+
-			"Tape load and thread to ready       %ss\n"+
-			"Data transfer rate, native          %s\n"+
-			"Maximum/average rewind time         %s/%ss\n"+
-			"Unload time                         %ss\n"+
-			"Average file access time (1st file) %ss\n"+
-			"Number of tapes per library         %d\n"+
-			"Tape capacity                       %s\n"+
-			"Tape drives per library             %d\n"+
-			"Number of tape libraries            %d\n",
-		trimFloat(h.CellToDrive), trimFloat(h.LoadThread), units.FormatRate(h.TransferRate),
-		trimFloat(h.MaxRewind), trimFloat(h.MaxRewind/2), trimFloat(h.Unload),
-		trimFloat(h.AvgFileSeek), h.TapesPerLib, units.FormatBytesSI(h.Capacity),
-		h.DrivesPerLib, h.Libraries)
-}
-
-func trimFloat(v float64) string {
-	if v == math.Trunc(v) {
-		return fmt.Sprintf("%.0f", v)
-	}
-	return fmt.Sprintf("%.1f", v)
-}

@@ -350,12 +350,3 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Error("bookkeeping mismatch accepted")
 	}
 }
-
-func TestFormatSummaryMentionsKeyNumbers(t *testing.T) {
-	s := DefaultHardware().FormatSummary()
-	for _, frag := range []string{"7.6", "19", "80.00 MB/s", "98", "400.00 GB", "80", "8", "3"} {
-		if !strings.Contains(s, frag) {
-			t.Errorf("summary missing %q:\n%s", frag, s)
-		}
-	}
-}

@@ -50,7 +50,6 @@ func TestSubmitSteadyStateAllocBudget(t *testing.T) {
 		"healthy": {},
 		"resilient-idle": {
 			RequestTimeout: 1e9,
-			MaxRetries:     5,
 			RetryBackoff:   30,
 		},
 	}

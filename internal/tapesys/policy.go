@@ -70,10 +70,10 @@ func (p VictimPolicy) String() string {
 	}
 }
 
-// DefaultMaxRetries is the retry bound applied when Options.MaxRetries is
-// left at zero: an interrupted tape-group operation is re-dispatched at
-// most this many times before the group is abandoned.
-const DefaultMaxRetries = 3
+// maxRetries bounds how many times one tape group's operation is
+// re-dispatched after a fault interrupts it; past the bound the group is
+// abandoned and accounted in FailedGroups/FailedBytes.
+const maxRetries = 3
 
 // Options tunes simulator scheduling and degraded-mode behavior. The zero
 // value is the paper's behavior.
@@ -104,11 +104,6 @@ type Options struct {
 	// mechanical work still completes and advances the clock). 0 disables
 	// timeouts.
 	RequestTimeout float64
-	// MaxRetries bounds how many times one tape group's operation is
-	// re-dispatched after a fault interrupts it; past the bound the group
-	// is abandoned and accounted in FailedGroups/FailedBytes. 0 selects
-	// DefaultMaxRetries.
-	MaxRetries int
 	// RetryBackoff delays each re-dispatch of an interrupted group by
 	// this many simulated seconds (0 retries immediately).
 	RetryBackoff float64
@@ -131,9 +126,6 @@ func (o Options) Validate() error {
 	}
 	if o.RequestTimeout < 0 || math.IsNaN(o.RequestTimeout) {
 		return fmt.Errorf("tapesys: negative request timeout %v", o.RequestTimeout)
-	}
-	if o.MaxRetries < 0 {
-		return fmt.Errorf("tapesys: negative retry bound %d", o.MaxRetries)
 	}
 	if o.RetryBackoff < 0 || math.IsNaN(o.RetryBackoff) {
 		return fmt.Errorf("tapesys: negative retry backoff %v", o.RetryBackoff)

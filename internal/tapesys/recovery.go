@@ -127,7 +127,6 @@ func (op *serveOp) interrupted() {
 		// Permanent media error: the cartridge is bad, so retrying on
 		// another drive cannot help — the group is lost.
 		s.curMet.MediaErrors++
-		s.totalMediaErrors++
 		s.emit(trace.Event{Kind: trace.KindMediaError, Lib: int32(d.lib), Drive: int32(d.idx),
 			Tape: int32(g.Tape.Index), Req: s.curReq, Span: span, Bytes: g.Bytes, Dur: elapsed})
 		s.failGroup(g)
@@ -218,7 +217,7 @@ func (s *System) failGroup(g catalog.TapeGroup) {
 // trace span of the failed operation, so the retry edge links the
 // abandoned chain to its successor in span reconstruction.
 func (s *System) retryGroup(g catalog.TapeGroup, attempts int, span int64) {
-	if attempts+1 > s.maxRetries() {
+	if attempts+1 > maxRetries {
 		s.failGroup(g)
 		// The interrupted drive no longer pulls queued work and the
 		// library's other drives may all be down: pump hands the queue to
@@ -228,7 +227,6 @@ func (s *System) retryGroup(g catalog.TapeGroup, attempts int, span int64) {
 		return
 	}
 	s.curMet.Retries++
-	s.totalRetries++
 	backoff := s.opts.RetryBackoff
 	s.emit(trace.Event{Kind: trace.KindOpRetried, Lib: int32(g.Tape.Library), Drive: -1,
 		Tape: int32(g.Tape.Index), Req: s.curReq, Span: span, Bytes: g.Bytes, Dur: backoff, Queue: int32(attempts + 1)})
@@ -363,19 +361,3 @@ func (s *System) takeQueued(lib int) (catalog.TapeGroup, int, bool) {
 	g, ok := s.takePending(lib)
 	return g, 0, ok
 }
-
-// maxRetries resolves the effective retry bound.
-func (s *System) maxRetries() int {
-	if s.opts.MaxRetries > 0 {
-		return s.opts.MaxRetries
-	}
-	return DefaultMaxRetries
-}
-
-// TotalRetries returns the lifetime count of fault-interrupted operations
-// re-dispatched to surviving drives.
-func (s *System) TotalRetries() int { return s.totalRetries }
-
-// TotalMediaErrors returns the lifetime count of tape groups lost to
-// permanent media errors.
-func (s *System) TotalMediaErrors() int { return s.totalMediaErrors }

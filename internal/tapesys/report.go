@@ -32,9 +32,6 @@ func (s *System) EnableTrace(limit int) *trace.Buffer {
 	return b
 }
 
-// DisableTrace stops recording.
-func (s *System) DisableTrace() { s.SetRecorder(nil) }
-
 // DriveStats summarizes one drive's lifetime activity.
 type DriveStats struct {
 	Library, Drive int

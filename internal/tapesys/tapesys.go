@@ -172,12 +172,8 @@ type System struct {
 	inj      *faults.Injector
 	deadline float64
 
-	totalBytes int64
-	// Lifetime counters behind TotalSwitches, TotalRetries and
-	// TotalMediaErrors.
-	totalSwitches    int
-	totalRetries     int
-	totalMediaErrors int
+	totalBytes    int64
+	totalSwitches int // lifetime counter behind TotalSwitches
 
 	// Reusable per-request scratch (see the package comment's allocation
 	// model). Submit runs one request to completion before returning, so
@@ -324,8 +320,6 @@ func (s *System) Reset(pl *placement.Result) error {
 	}
 	s.eng.Reset()
 	s.totalSwitches = 0
-	s.totalRetries = 0
-	s.totalMediaErrors = 0
 	for _, l := range s.libs {
 		l.robot.Reset()
 	}

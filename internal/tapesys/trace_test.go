@@ -89,7 +89,7 @@ func TestTraceLimitAndDisable(t *testing.T) {
 	if len(tr.Events) != 2 {
 		t.Errorf("limited trace has %d events", len(tr.Events))
 	}
-	s.DisableTrace()
+	s.SetRecorder(nil)
 	if _, err := s.Submit(req(0, 0)); err != nil {
 		t.Fatal(err)
 	}

@@ -26,11 +26,11 @@ import (
 //     last (counted, but the α bound no longer holds for them);
 //   - NaN and negative observations are dropped and tallied in Dropped.
 //
-// The default α = 1% over [1e-9, 1e12] costs ~2.4k buckets (≈19 KiB) per
-// histogram. Concurrent Observe/Quantile are safe; a quantile read during
-// heavy concurrent writes sees a slightly torn but monotone snapshot.
+// α is fixed at 1% (alpha); over the default range [1e-9, 1e12] that
+// costs ~2.4k buckets (≈19 KiB) per histogram. Concurrent
+// Observe/Quantile are safe; a quantile read during heavy concurrent
+// writes sees a slightly torn but monotone snapshot.
 type Histogram struct {
-	alpha   float64
 	gamma   float64
 	lnGamma float64
 	min     float64
@@ -43,11 +43,11 @@ type Histogram struct {
 	buckets []atomic.Uint64
 }
 
+// alpha is every Histogram's relative-error bound for quantile queries.
+const alpha = 0.01
+
 // HistogramOptions configures a Histogram; zero fields take defaults.
 type HistogramOptions struct {
-	// Alpha is the relative-error bound for quantile queries (default
-	// 0.01, i.e. 1%). Must be in (0, 1).
-	Alpha float64
 	// Min is the smallest value resolved with the α guarantee (default
 	// 1e-9); smaller positive values clamp into the first bucket.
 	Min float64
@@ -63,23 +63,19 @@ var DefaultSummaryQuantiles = []float64{0.5, 0.9, 0.99}
 // NewHistogram builds a histogram; it panics on nonsensical options (a
 // construction bug, like metrics.NewHistogram).
 func NewHistogram(opt HistogramOptions) *Histogram {
-	if opt.Alpha == 0 {
-		opt.Alpha = 0.01
-	}
 	if opt.Min == 0 {
 		opt.Min = 1e-9
 	}
 	if opt.Max == 0 {
 		opt.Max = 1e12
 	}
-	if opt.Alpha <= 0 || opt.Alpha >= 1 || opt.Min <= 0 || opt.Max <= opt.Min {
+	if opt.Min <= 0 || opt.Max <= opt.Min {
 		panic(fmt.Sprintf("telemetry: bad histogram options %+v", opt))
 	}
-	gamma := (1 + opt.Alpha) / (1 - opt.Alpha)
+	gamma := (1 + alpha) / (1 - alpha)
 	lnGamma := math.Log(gamma)
 	n := int(math.Ceil(math.Log(opt.Max/opt.Min)/lnGamma)) + 1
 	return &Histogram{
-		alpha:   opt.Alpha,
 		gamma:   gamma,
 		lnGamma: lnGamma,
 		min:     opt.Min,
@@ -87,9 +83,6 @@ func NewHistogram(opt HistogramOptions) *Histogram {
 		buckets: make([]atomic.Uint64, n),
 	}
 }
-
-// Alpha returns the configured relative-error bound.
-func (h *Histogram) Alpha() float64 { return h.alpha }
 
 // Buckets returns the number of log-spaced buckets (fixed at creation).
 func (h *Histogram) Buckets() int { return len(h.buckets) }

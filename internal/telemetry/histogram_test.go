@@ -10,39 +10,37 @@ import (
 
 // TestHistogramQuantileErrorBound is the property test behind the
 // documented contract: for in-range samples, every quantile estimate is
-// within the configured relative error of the exact sample quantile at
-// the same rank.
+// within the relative error alpha of the exact sample quantile at the same
+// rank.
 func TestHistogramQuantileErrorBound(t *testing.T) {
-	for _, alpha := range []float64{0.01, 0.05} {
-		h := NewHistogram(HistogramOptions{Alpha: alpha})
-		r := rand.New(rand.NewSource(1))
-		samples := make([]float64, 0, 20000)
-		for i := 0; i < 20000; i++ {
-			// Log-uniform over nine decades, the shape of simulated
-			// durations (milliseconds to weeks).
-			v := math.Pow(10, -3+9*r.Float64())
-			samples = append(samples, v)
-			h.Observe(v)
+	h := NewHistogram(HistogramOptions{})
+	r := rand.New(rand.NewSource(1))
+	samples := make([]float64, 0, 20000)
+	for i := 0; i < 20000; i++ {
+		// Log-uniform over nine decades, the shape of simulated
+		// durations (milliseconds to weeks).
+		v := math.Pow(10, -3+9*r.Float64())
+		samples = append(samples, v)
+		h.Observe(v)
+	}
+	sort.Float64s(samples)
+	for _, q := range []float64{0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1} {
+		rank := int(math.Ceil(q * float64(len(samples))))
+		if rank < 1 {
+			rank = 1
 		}
-		sort.Float64s(samples)
-		for _, q := range []float64{0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1} {
-			rank := int(math.Ceil(q * float64(len(samples))))
-			if rank < 1 {
-				rank = 1
-			}
-			exact := samples[rank-1]
-			est := h.Quantile(q)
-			rel := math.Abs(est-exact) / exact
-			// Tiny slack over alpha for float rounding at bucket edges.
-			if rel > alpha*1.0001 {
-				t.Errorf("alpha=%v q=%v: est %v vs exact %v (rel err %v)", alpha, q, est, exact, rel)
-			}
+		exact := samples[rank-1]
+		est := h.Quantile(q)
+		rel := math.Abs(est-exact) / exact
+		// Tiny slack over alpha for float rounding at bucket edges.
+		if rel > alpha*1.0001 {
+			t.Errorf("alpha=%v q=%v: est %v vs exact %v (rel err %v)", alpha, q, est, exact, rel)
 		}
 	}
 }
 
 func TestHistogramEdgeContract(t *testing.T) {
-	h := NewHistogram(HistogramOptions{Alpha: 0.01, Min: 1e-3, Max: 1e3})
+	h := NewHistogram(HistogramOptions{Min: 1e-3, Max: 1e3})
 	h.Observe(math.NaN())
 	h.Observe(-1)
 	if h.Dropped() != 2 {
