@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test lint bench golden
+.PHONY: check build vet test lint bench golden digests
 
 check:
 	./check.sh
@@ -26,6 +26,13 @@ test:
 # docs/ARCHITECTURE.md). The test is doclint_test.go at the root.
 lint:
 	$(GO) test . -run TestExportedIdentifiersHaveDocComments -count=1
+
+# digests runs the repository benchmark for one second on each of its four
+# workloads at seeds 20060815 and 4242 and fails unless every run passes
+# its correctness checks and prints the digest committed in
+# bench_digests.txt (about 35 s; not part of check).
+digests:
+	./bench_digests.sh
 
 # bench runs the paper-exhibit benchmarks at reduced scale.
 bench:

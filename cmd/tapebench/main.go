@@ -70,6 +70,10 @@ func main() {
 		goStats  = flag.Bool("gostats", false, "print Go runtime metrics (GC, heap, scheduler) after the run")
 	)
 	flag.Parse()
+	if *progress < 0 {
+		fmt.Fprintln(os.Stderr, "tapebench: -progress must not be negative, got", *progress)
+		os.Exit(1)
+	}
 
 	if *compare != "" {
 		if flag.NArg() != 1 {

@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -155,6 +156,14 @@ func run(o options) error {
 		if f.n < 0 {
 			return fmt.Errorf("-%s must not be negative, got %d", f.name, f.n)
 		}
+	}
+	if o.progress < 0 {
+		return fmt.Errorf("-progress must not be negative, got %v", o.progress)
+	}
+	// A negative repair time moves the injector's timelines backwards and
+	// the run never ends; a zero one is no repair time either.
+	if !(o.repair > 0) || math.IsInf(o.repair, 1) {
+		return fmt.Errorf("-repair must be a positive, finite number of seconds, got %v", o.repair)
 	}
 
 	// Create every output destination first, so an unwritable or

@@ -18,7 +18,7 @@ func runSmall(t *testing.T, scheme string, mutate func(o *options)) error {
 	o := options{
 		scheme: scheme, m: 2, epochs: 2, requests: 5, seed: 1, alpha: 0.3,
 		objects: 300, nRequests: 15, libraries: 2, drives: 4, tapes: 16,
-		capacity: "20GB", rate: "80MB",
+		capacity: "20GB", rate: "80MB", repair: 600,
 	}
 	if mutate != nil {
 		mutate(&o)
@@ -73,16 +73,23 @@ func TestRunBadInputs(t *testing.T) {
 	if err := runSmall(t, "parallel-batch", func(o *options) { o.libraries = 0 }); err == nil {
 		t.Error("zero libraries accepted")
 	}
-	// Negative counts are errors: unchecked, -requests panics in
-	// makeslice and -events and -explain are silently ignored.
-	for name, set := range map[string]func(o *options){
-		"requests": func(o *options) { o.requests = -3 },
-		"events":   func(o *options) { o.events = -2 },
-		"explain":  func(o *options) { o.explain = -2 },
+	// Negative counts and durations are errors: unchecked, -requests
+	// panics in makeslice, -events, -explain and -progress are silently
+	// ignored, and a negative -repair under -faults never finishes.
+	for _, c := range []struct {
+		flag string
+		set  func(o *options)
+	}{
+		{"requests", func(o *options) { o.requests = -3 }},
+		{"events", func(o *options) { o.events = -2 }},
+		{"explain", func(o *options) { o.explain = -2 }},
+		{"progress", func(o *options) { o.progress = -5 * time.Second }},
+		{"repair", func(o *options) { o.faults, o.mtbf, o.repair = true, 500, -600 }},
+		{"repair", func(o *options) { o.faults, o.mtbf, o.repair = true, 500, 0 }},
 	} {
-		err := runSmall(t, "parallel-batch", set)
-		if err == nil || !strings.Contains(err.Error(), "-"+name) {
-			t.Errorf("negative -%s: err = %v, want an error naming the flag", name, err)
+		err := runSmall(t, "parallel-batch", c.set)
+		if err == nil || !strings.Contains(err.Error(), "-"+c.flag) {
+			t.Errorf("bad -%s: err = %v, want an error naming the flag", c.flag, err)
 		}
 	}
 }

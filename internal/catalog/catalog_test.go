@@ -270,6 +270,19 @@ func TestReadJSONRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestReadJSONRejectsOutOfRange: a negative object count used to reach New
+// and panic in makeslice, and the catalog holds cartridge keys as int32s.
+func TestReadJSONRejectsOutOfRange(t *testing.T) {
+	for _, raw := range []string{
+		`{"num_objects":-1,"tapes":[]}`,
+		`{"num_objects":1,"tapes":[{"library":4294967296,"index":0,"extents":[{"object":0,"start":0,"size":5}]}]}`,
+	} {
+		if _, err := ReadJSON(bytes.NewBufferString(raw)); err == nil {
+			t.Errorf("accepted %s", raw)
+		}
+	}
+}
+
 func TestReadJSONRejectsNonContiguous(t *testing.T) {
 	raw := `{"num_objects":1,"tapes":[{"library":0,"index":0,"extents":[{"object":0,"start":50,"size":10}]}]}`
 	if _, err := ReadJSON(bytes.NewBufferString(raw)); err == nil {

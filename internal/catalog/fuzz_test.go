@@ -14,6 +14,7 @@ func FuzzReadJSON(f *testing.F) {
 	f.Add([]byte(`{"num_objects":1,"tapes":[{"library":0,"index":0,"extents":[{"object":0,"start":9,"size":5}]}]}`))
 	f.Add([]byte(`{"num_objects":1,"tapes":[{"library":0,"index":0,"extents":[{"object":0,"start":0,"size":-5}]}]}`))
 	f.Add([]byte(`nope`))
+	f.Add([]byte(`{"num_objects":-1,"tapes":[]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := ReadJSON(bytes.NewReader(data))
 		if err != nil {

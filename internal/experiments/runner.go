@@ -363,9 +363,10 @@ func (c Config) execute(r Run, cl *future[*cluster.Result], pc *placeCache, rec 
 	seeds := c.seeds()
 	ms := make([]tapesys.RequestMetrics, 0, n*seeds)
 	// One System serves every seed: Reset replays the placement's initial
-	// state on the same engine, so the event queue, grouping arenas, and
+	// state on the same engine, so the event queue, grouping arena, and
 	// operation pools grown during seed 0 are reused instead of
-	// reallocated per run.
+	// reallocated per run, and a request grouped in an earlier seed is
+	// replayed from the Grouper's memo rather than grouped again.
 	var sys *tapesys.System
 	for si := 0; si < seeds; si++ {
 		if sys == nil {

@@ -145,6 +145,12 @@ func (p *Profile) Validate() error {
 	case p.MediaErrorPerRead < 0 || p.MediaErrorPerRead > 1 || math.IsNaN(p.MediaErrorPerRead):
 		return fmt.Errorf("faults: MediaErrorPerRead must be in [0,1], got %v", p.MediaErrorPerRead)
 	}
+	if err := checkRepairMean("DriveRepair", p.DriveRepair); err != nil {
+		return err
+	}
+	if err := checkRepairMean("RobotRepair", p.RobotRepair); err != nil {
+		return err
+	}
 	for i, o := range p.DriveOutages {
 		if o.At < 0 || !(o.Duration > 0) {
 			return fmt.Errorf("faults: DriveOutages[%d] needs At >= 0 and Duration > 0, got (%v, %v)", i, o.At, o.Duration)
@@ -159,6 +165,26 @@ func (p *Profile) Validate() error {
 		if m.Read < 1 || !(m.Frac > 0) || m.Frac > 1 {
 			return fmt.Errorf("faults: MediaFaults[%d] needs Read >= 1 and Frac in (0,1], got (%d, %v)", i, m.Read, m.Frac)
 		}
+	}
+	return nil
+}
+
+// checkRepairMean rejects a repair sampler of a known distribution whose
+// mean is not positive and finite. Negative repairs would move a device's
+// timeline backwards, and timeline.advance would never catch up with the
+// clock.
+func checkRepairMean(field string, s Sampler) error {
+	var mean float64
+	switch d := s.(type) {
+	case dist.Exponential:
+		mean = d.Mean
+	case *dist.BoundedPareto:
+		mean = d.Mean()
+	default:
+		return nil
+	}
+	if !(mean > 0) || math.IsInf(mean, 0) {
+		return fmt.Errorf("faults: %s mean must be positive and finite, got %v", field, mean)
 	}
 	return nil
 }

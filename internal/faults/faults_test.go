@@ -2,6 +2,7 @@ package faults
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"paralleltape/internal/dist"
@@ -64,6 +65,49 @@ func TestProfileValidate(t *testing.T) {
 	}
 	if (&Profile{}).Enabled() {
 		t.Error("zero profile should be disabled")
+	}
+}
+
+// TestProfileValidateRepairMeans pins the repair-mean check: a repair
+// distribution whose mean is not positive and finite is rejected, naming
+// its field, and so is an Injector built from it. A negative mean used to
+// pass, and the first query past a failure then spun forever in
+// timeline.advance.
+func TestProfileValidateRepairMeans(t *testing.T) {
+	bad := []Sampler{
+		dist.Exponential{Mean: -600},
+		dist.Exponential{Mean: 0},
+		dist.Exponential{Mean: math.NaN()},
+		dist.Exponential{Mean: math.Inf(1)},
+		&dist.BoundedPareto{Lo: -100, Hi: -10, Shape: 1.5},
+	}
+	for i, s := range bad {
+		for _, p := range []Profile{
+			{DriveMTBF: 500, DriveRepair: s},
+			{RobotMTBF: 500, RobotRepair: s},
+		} {
+			field := "DriveRepair"
+			if p.RobotRepair != nil {
+				field = "RobotRepair"
+			}
+			err := p.Validate()
+			if err == nil || !strings.Contains(err.Error(), field) {
+				t.Errorf("sampler %d as %s: Validate() = %v, want an error naming %s", i, field, err, field)
+			}
+			if _, err := New(p, 1, 2, 3); err == nil {
+				t.Errorf("sampler %d as %s: New accepted it", i, field)
+			}
+		}
+	}
+	pareto, err := dist.NewBoundedPareto(300, 3000, 1.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []Sampler{nil, dist.Exponential{Mean: 600}, pareto} {
+		p := Profile{DriveMTBF: 500, DriveRepair: s, RobotMTBF: 500, RobotRepair: s}
+		if err := p.Validate(); err != nil {
+			t.Errorf("repair sampler %#v: %v", s, err)
+		}
 	}
 }
 

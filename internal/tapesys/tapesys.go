@@ -47,8 +47,12 @@
 // arena, read planning through a tape.Planner, per-drive accounting is a
 // dense slice, pending queues and victim rankings reuse their backing
 // arrays, and the serve/switch continuations are pooled objects whose
-// closures are created once. In steady state (no recorder, scratch grown
-// to the workload's high-water mark) Submit performs no heap allocations.
+// closures are created once. The Grouper remembers each request it has
+// grouped, so a request's first submission allocates its memo entry and
+// every later one replays it. In steady state (no recorder, scratch grown
+// to the workload's high-water mark, every request submitted once)
+// Submit performs no heap allocations. Reset onto a placement with the
+// same catalog keeps all of it, memo included.
 package tapesys
 
 import (
@@ -286,11 +290,14 @@ func validatePlacementShape(hw tape.Hardware, pl *placement.Result) error {
 }
 
 // applyPlacement points the system at a placement and installs its initial
-// mount state. Drive lifetime accounting is zeroed.
+// mount state. Drive lifetime accounting is zeroed. The Grouper, and with
+// it every request it remembers, is kept while the catalog stays the same.
 func (s *System) applyPlacement(pl *placement.Result) error {
+	if pl.Catalog != s.cat {
+		s.grouper = catalog.NewGrouper(pl.Catalog)
+	}
 	s.cat = pl.Catalog
 	s.prob = pl.TapeProb
-	s.grouper = catalog.NewGrouper(pl.Catalog)
 	for lib, l := range s.libs {
 		for d, dr := range l.drives {
 			*dr = drive{lib: lib, idx: d, gidx: dr.gidx,
@@ -310,10 +317,12 @@ func (s *System) applyPlacement(pl *placement.Result) error {
 // Reset restores the system to placement pl's initial state — fresh clock,
 // empty event queue, initial mounts, zeroed accounting — while reusing all
 // engine and scratch allocations (event queue, grouping arena, operation
-// pools). The recorder attachment survives. It is the cheap way to run a
-// sequence of independent simulations (e.g. one per seed) on identical
-// hardware: only the placement may change, and its shape must match the
-// system's hardware.
+// pools). While pl's catalog is the one the system already uses, the
+// Grouper is kept too, with its memo of every request grouped so far; a
+// new catalog gets a new Grouper. The recorder attachment survives. It is
+// the cheap way to run a sequence of independent simulations (e.g. one per
+// seed) on identical hardware: only the placement may change, and its
+// shape must match the system's hardware.
 func (s *System) Reset(pl *placement.Result) error {
 	if err := validatePlacementShape(s.hw, pl); err != nil {
 		return err
