@@ -102,7 +102,7 @@ func BenchmarkPlacementParallelBatch(b *testing.B) {
 
 // BenchmarkPlacementCluster isolates the §5.1 clustering stage (atoms,
 // similarity edges, agglomeration) of the placement pipeline at the
-// configured scale; the -json document tracks it as placement-cluster.
+// configured scale.
 func BenchmarkPlacementCluster(b *testing.B) {
 	cfg := benchCfg()
 	w, err := GenerateWorkload(benchParams(cfg), cfg.Seed)
@@ -119,7 +119,7 @@ func BenchmarkPlacementCluster(b *testing.B) {
 }
 
 // BenchmarkPlacementOrganPipe isolates the §5.3 step 6 alignment stage:
-// organ-piping one tape-sized item list; tracked as placement-organpipe.
+// organ-piping one tape-sized item list.
 func BenchmarkPlacementOrganPipe(b *testing.B) {
 	cfg := benchCfg()
 	w, err := GenerateWorkload(benchParams(cfg), cfg.Seed)
@@ -140,8 +140,7 @@ func BenchmarkPlacementOrganPipe(b *testing.B) {
 }
 
 // BenchmarkPlacementLoadBalance isolates the §5.4 balancing stage: zigzag
-// of one cluster-sized item list across a tape batch; tracked as
-// placement-loadbalance.
+// of one cluster-sized item list across a tape batch.
 func BenchmarkPlacementLoadBalance(b *testing.B) {
 	cfg := benchCfg()
 	w, err := GenerateWorkload(benchParams(cfg), cfg.Seed)
@@ -167,32 +166,6 @@ func BenchmarkPlacementLoadBalance(b *testing.B) {
 			states[j] = loadbalance.TapeState{Free: 1 << 40}
 		}
 		if _, err := p.Zigzag(items, ptrs, len(states)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimulateRequest measures per-request simulation cost on a
-// parallel-batch placement.
-func BenchmarkSimulateRequest(b *testing.B) {
-	cfg := benchCfg()
-	w, err := GenerateWorkload(benchParams(cfg), cfg.Seed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	hw := cfg.HW
-	pl, err := Place(hw, NewParallelBatch(cfg.M), w)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys, err := NewSystem(hw, pl)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reqs := w.Requests
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.Submit(&reqs[i%len(reqs)]); err != nil {
 			b.Fatal(err)
 		}
 	}

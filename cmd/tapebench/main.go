@@ -1,10 +1,9 @@
 // Command tapebench regenerates the paper's evaluation: Table 1 and
 // Figures 5–9, plus the technology-scaling and robustness studies and the
 // parallel-batch design ablation. Profiling hooks (-pprof, -cpuprofile,
-// -memprofile, -gostats) expose where harness time and memory go, live
-// telemetry flags (-metrics-addr, -progress) watch a sweep while it runs,
-// and -json writes a versioned benchmark-result document for
-// regression tracking; see docs/OBSERVABILITY.md.
+// -memprofile, -gostats) expose where harness time and memory go, and
+// live telemetry flags (-metrics-addr, -progress) watch a sweep while it
+// runs; see docs/OBSERVABILITY.md.
 //
 // Examples:
 //
@@ -13,8 +12,6 @@
 //	tapebench -quick               # reduced scale (CI-sized)
 //	tapebench -experiment fig9 -csv -o fig9.csv
 //	tapebench -metrics-addr :9100 -progress 10s
-//	TAPEBENCH_COMMIT=$(git rev-parse HEAD) tapebench -quick -json BENCH.json
-//	tapebench -compare BENCH_0003.json fresh.json   # perf regression gate
 //	tapebench -pprof :6060 -gostats
 package main
 
@@ -47,17 +44,10 @@ func main() {
 		workers     = flag.Int("workers", 0, "parallel run workers (0 = GOMAXPROCS)")
 		csv         = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		chart       = flag.Bool("chart", false, "append a bandwidth bar chart to each exhibit")
-		jsonOut     = flag.String("json", "", "write a machine-readable benchmark-result document (schema tapebench/bench-result/v1) to this file (- for stdout)")
 		outPath     = flag.String("o", "", "write output to a file instead of stdout")
 		metricsAddr = flag.String("metrics-addr", "",
 			"serve live telemetry on this address for the life of the sweep (Prometheus text at /metrics, expvar JSON at /debug/vars, net/http/pprof at /debug/pprof/)")
 		progress = flag.Duration("progress", 0, "print a progress line to stderr at this interval (e.g. 10s; 0 disables)")
-		compare  = flag.String("compare", "",
-			"regression-gate mode: compare this baseline bench-result document against the one given as a positional argument (tapebench -compare old.json new.json), exit non-zero on regression")
-		compareNsTol = flag.Float64("compare-ns-tolerance", 40,
-			"-compare: allowed ns/op growth in percent (allocs/op gets a fixed 0.1% slack, bandwidth is always exact)")
-		comparePlacementNsTol = flag.Float64("compare-placement-ns-tolerance", 30,
-			"-compare: allowed ns/op growth in percent for the placement-* benchmarks, which run a fixed iteration count (see docs/PERFORMANCE.md)")
 		faultsOn = flag.Bool("faults", false,
 			"inject stochastic faults into every run of the selected exhibit (-mtbf, -timeout; docs/RESILIENCE.md); the chaos exhibit keeps its own per-point profiles")
 		mtbf = flag.Float64("mtbf", 40000,
@@ -75,20 +65,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *compare != "" {
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "tapebench: -compare needs exactly one positional argument: the new bench-result document")
-			os.Exit(2)
-		}
-		code, err := runCompare(os.Stdout, *compare, flag.Arg(0),
-			tolerances{nsPct: *compareNsTol, placementNsPct: *comparePlacementNsTol})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tapebench:", err)
-			os.Exit(2)
-		}
-		os.Exit(code)
-	}
-
 	// Create output files first so an unwritable path fails immediately,
 	// not after the sweep completes.
 	var out io.Writer = os.Stdout
@@ -100,20 +76,6 @@ func main() {
 		}
 		defer f.Close()
 		out = f
-	}
-	var jsonW io.Writer
-	if *jsonOut != "" {
-		if *jsonOut == "-" {
-			jsonW = os.Stdout
-		} else {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "tapebench:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			jsonW = f
-		}
 	}
 
 	if *pprofSrv != "" {
@@ -184,17 +146,9 @@ func main() {
 		}
 	}
 
-	start := time.Now()
-	reps, err := run(out, *experiment, cfg, *csv, *chart)
-	if err != nil {
+	if err := run(out, *experiment, cfg, *csv, *chart); err != nil {
 		fmt.Fprintln(os.Stderr, "tapebench:", err)
 		os.Exit(1)
-	}
-	if jsonW != nil {
-		if err := writeBenchResult(jsonW, *experiment, cfg, *quick, time.Since(start), reps); err != nil {
-			fmt.Fprintln(os.Stderr, "tapebench:", err)
-			os.Exit(1)
-		}
 	}
 	if *goStats {
 		if err := writeRuntimeStats(os.Stderr); err != nil {
@@ -286,10 +240,8 @@ func histQuantile(h *metrics.Float64Histogram, q float64) float64 {
 	return h.Buckets[len(h.Buckets)-1]
 }
 
-// run regenerates the selected exhibits, rendering each to out, and
-// returns the finished reports so the caller can derive the -json
-// benchmark-result document from them.
-func run(out io.Writer, experiment string, cfg paralleltape.ExperimentConfig, csv, chart bool) ([]*paralleltape.ExperimentReport, error) {
+// run regenerates the selected exhibits, rendering each to out.
+func run(out io.Writer, experiment string, cfg paralleltape.ExperimentConfig, csv, chart bool) error {
 	emit := func(rep *paralleltape.ExperimentReport) error {
 		if err := rep.Err(); err != nil {
 			return err
@@ -321,31 +273,28 @@ func run(out io.Writer, experiment string, cfg paralleltape.ExperimentConfig, cs
 	}
 
 	start := time.Now()
-	var reps []*paralleltape.ExperimentReport
 	if experiment == "all" {
 		all, err := paralleltape.RunAllExperiments(cfg)
 		for _, rep := range all {
 			if e := emit(rep); e != nil {
-				return nil, e
+				return e
 			}
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
-		reps = all
 	} else {
 		rep, err := paralleltape.RunExperiment(experiment, cfg)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := emit(rep); err != nil {
-			return nil, err
+			return err
 		}
-		reps = []*paralleltape.ExperimentReport{rep}
 	}
 	if !csv {
 		fmt.Fprintf(out, "completed in %s (seed %d, %d requests/run, scale %.2f)\n",
 			time.Since(start).Round(time.Millisecond), cfg.Seed, cfg.Requests, cfg.Scale)
 	}
-	return reps, nil
+	return nil
 }

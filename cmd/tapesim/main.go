@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"paralleltape"
+	"paralleltape/internal/cluster"
 	"paralleltape/internal/dist"
 	"paralleltape/internal/faults"
 	"paralleltape/internal/metrics"
@@ -275,6 +276,9 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
+	// tapesim places once, so the clustering scratch (about 225 MB at
+	// paper scale) need not outlive the placement.
+	cluster.ReleaseScratch()
 	fmt.Printf("placement: %s using %d tapes\n\n", pl.Scheme, pl.TapesUsed)
 	if o.describe {
 		d, err := placement.Describe(pl, w, hw)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -72,6 +73,10 @@ func TestRunBadInputs(t *testing.T) {
 	}
 	if err := runSmall(t, "parallel-batch", func(o *options) { o.libraries = 0 }); err == nil {
 		t.Error("zero libraries accepted")
+	}
+	// Unchecked, a NaN alpha reaches dist.NewZipf and panics.
+	if err := runSmall(t, "parallel-batch", func(o *options) { o.alpha = math.NaN() }); err == nil || !strings.Contains(err.Error(), "Alpha") {
+		t.Errorf("NaN alpha: err = %v, want an error naming Alpha", err)
 	}
 	// Negative counts and durations are errors: unchecked, -requests
 	// panics in makeslice, -events, -explain and -progress are silently

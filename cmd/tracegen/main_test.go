@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -57,5 +58,9 @@ func TestBadInputs(t *testing.T) {
 	}
 	if err := run(0, 10, 0.3, "64MB", "256MB", 1.1, 4, 8, 1.0, "", 7, "", true, false); err == nil {
 		t.Error("zero objects accepted")
+	}
+	// Unchecked, a NaN alpha reaches dist.NewZipf and panics.
+	if err := run(200, 10, math.NaN(), "64MB", "256MB", 1.1, 4, 8, 1.0, "", 7, "", true, false); err == nil {
+		t.Error("NaN alpha accepted")
 	}
 }

@@ -97,7 +97,12 @@ func NewModel(hw tape.Hardware, pl *placement.Result) (*Model, error) {
 //     least the largest mounted-tape service anywhere.
 func (m *Model) EstimateRequest(r *model.Request) (Estimate, error) {
 	// A Grouper per call keeps the Model immutable.
-	groups, err := catalog.NewGrouper(m.cat).Group(r)
+	return m.estimate(catalog.NewGrouper(m.cat), r)
+}
+
+// estimate is EstimateRequest on the caller's Grouper.
+func (m *Model) estimate(gr *catalog.Grouper, r *model.Request) (Estimate, error) {
+	groups, err := gr.Group(r)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -195,12 +200,15 @@ func (m *Model) groupSeek(g catalog.TapeGroup) float64 {
 // EstimateSession returns the popularity-weighted mean estimate over the
 // workload's predefined requests.
 func (m *Model) EstimateSession(w *model.Workload) (Estimate, error) {
+	// One Grouper per call, shared by the requests, keeps the Model
+	// immutable.
+	gr := catalog.NewGrouper(m.cat)
 	var out Estimate
 	var probSum float64
 	var tapesW, offlineW float64
 	for i := range w.Requests {
 		r := &w.Requests[i]
-		e, err := m.EstimateRequest(r)
+		e, err := m.estimate(gr, r)
 		if err != nil {
 			return Estimate{}, err
 		}

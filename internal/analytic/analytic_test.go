@@ -175,18 +175,67 @@ func TestEstimateSessionWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The session mean must lie within the per-request range.
+	// The session mean must lie within the per-request range, and equal,
+	// bit for bit, the popularity-weighted mean of EstimateRequest's
+	// estimates taken in the same order: a Grouper shared across the
+	// session must not change any request's estimate.
 	lo, hi := math.Inf(1), math.Inf(-1)
+	var want Estimate
+	var probSum, tapesW, offlineW float64
 	for i := range w.Requests {
-		e, err := m.EstimateRequest(&w.Requests[i])
+		r := &w.Requests[i]
+		e, err := m.EstimateRequest(r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		lo = math.Min(lo, e.Response)
 		hi = math.Max(hi, e.Response)
+		p := r.Prob
+		probSum += p
+		want.Response += p * e.Response
+		want.Switch += p * e.Switch
+		want.Seek += p * e.Seek
+		want.Transfer += p * e.Transfer
+		want.Bytes += int64(p * float64(e.Bytes))
+		tapesW += p * float64(e.TapesTouched)
+		offlineW += p * float64(e.OfflineTapes)
 	}
 	if sess.Response < lo || sess.Response > hi {
 		t.Errorf("session mean %v outside [%v, %v]", sess.Response, lo, hi)
+	}
+	inv := 1 / probSum
+	want.Response *= inv
+	want.Switch *= inv
+	want.Seek *= inv
+	want.Transfer *= inv
+	want.Bytes = int64(float64(want.Bytes) * inv)
+	want.TapesTouched = int(math.Round(tapesW * inv))
+	want.OfflineTapes = int(math.Round(offlineW * inv))
+	if sess != want {
+		t.Errorf("EstimateSession = %+v, want the weighted mean of EstimateRequest %+v", sess, want)
+	}
+}
+
+// TestEstimateSessionAllocBudget bounds EstimateSession's allocations per
+// request. One Grouper serves the whole session, so a request costs only
+// its per-library aggregates and the Grouper's record of it.
+func TestEstimateSessionAllocBudget(t *testing.T) {
+	hw, w := setup(t, 4)
+	pr, err := placement.ObjectProbability{}.Place(w, hw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewModel(hw, pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(10, func() {
+		if _, err := m.EstimateSession(w); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if budget := 4 * len(w.Requests); n > float64(budget) {
+		t.Fatalf("EstimateSession allocates %.0f times for %d requests, budget %d", n, len(w.Requests), budget)
 	}
 }
 

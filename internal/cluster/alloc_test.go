@@ -34,7 +34,7 @@ func TestRunAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const budget = 16 // measured ~5; slack for runtime noise
+	const budget = 6 // measured 4 in every run, -race included
 	if n > budget {
 		t.Fatalf("Run allocates %.0f/run after warm-up, budget %d", n, budget)
 	}

@@ -4,7 +4,7 @@
 //   - Session statistics (Summarize, AggregateSession): the paper's §6
 //     figures — effective bandwidth, average response time, and the tape
 //     switch / data seek / data transfer decomposition — with percentile
-//     summaries and confidence intervals.
+//     summaries.
 //   - Per-component timelines (BuildTimeline): busy/idle utilization per
 //     drive, robot-arm occupancy and queue-depth series per library,
 //     reduced from a recorded event trace (internal/trace) and rendered
@@ -65,15 +65,6 @@ func Summarize(xs []float64) Summary {
 	s.P95 = percentile(sorted, 0.95)
 	s.P99 = percentile(sorted, 0.99)
 	return s
-}
-
-// CI95 returns the half-width of the normal-approximation 95% confidence
-// interval of the mean.
-func (s Summary) CI95() float64 {
-	if s.N < 2 {
-		return 0
-	}
-	return 1.96 * s.Std / math.Sqrt(float64(s.N))
 }
 
 // percentile interpolates linearly on a sorted slice.

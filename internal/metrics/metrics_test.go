@@ -12,7 +12,7 @@ import (
 
 func TestSummarizeEmpty(t *testing.T) {
 	s := Summarize(nil)
-	if s.N != 0 || s.Mean != 0 || s.CI95() != 0 {
+	if s.N != 0 || s.Mean != 0 {
 		t.Errorf("empty summary: %+v", s)
 	}
 }
@@ -22,7 +22,7 @@ func TestSummarizeSingle(t *testing.T) {
 	if s.N != 1 || s.Mean != 7 || s.Min != 7 || s.Max != 7 || s.P50 != 7 {
 		t.Errorf("single summary: %+v", s)
 	}
-	if s.Std != 0 || s.CI95() != 0 {
+	if s.Std != 0 {
 		t.Errorf("single-element spread: %+v", s)
 	}
 }

@@ -23,7 +23,10 @@ func TestPlaceAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const budget = 160 // measured ~100; slack for runtime noise
+	// Measured 96 (98 under -race) in every run; the slack covers the
+	// catalog's and tape-probability maps, whose growth allocates
+	// differently across Go versions and hash seeds.
+	const budget = 104
 	if n > budget {
 		t.Fatalf("ParallelBatch.Place allocates %.0f/run, budget %d", n, budget)
 	}

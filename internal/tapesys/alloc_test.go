@@ -6,9 +6,11 @@ import (
 	"slices"
 	"testing"
 
+	"paralleltape/internal/model"
 	"paralleltape/internal/placement"
 	"paralleltape/internal/rng"
 	"paralleltape/internal/tape"
+	"paralleltape/internal/trace"
 	"paralleltape/internal/units"
 	"paralleltape/internal/workload"
 )
@@ -18,6 +20,9 @@ import (
 // the workload's high-water mark, Submit performs no heap allocations.
 // Options.Shards is accepted and ignored, so every value — including the
 // 2 older callers still pass — must take the same zero-allocation path.
+// The traced cases attach an in-memory trace buffer and reset it after
+// each request: once the buffer has grown to the largest request's
+// events, recording allocates nothing either.
 // Every predefined request is submitted once first: a request's first
 // submission records its grouping (catalog.Grouper's memo), and
 // AllocsPerRun truncates its average, so a few first-seen requests in the
@@ -49,45 +54,58 @@ func TestSubmitSteadyStateAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The resilience knobs must cost nothing while no fault fires: the
-	// second options set exercises the deadline bookkeeping and the
+	// resilient-idle options exercise the deadline bookkeeping and the
 	// fault-path guards with faults disabled, and must fit the same
 	// budget — zero extra allocations over the healthy configuration.
-	optSets := map[string]Options{
-		"healthy": {},
-		"resilient-idle": {
-			RequestTimeout: 1e9,
-			RetryBackoff:   30,
-		},
+	cases := []struct {
+		name   string
+		opts   Options
+		traced bool
+	}{
+		{"healthy", Options{}, false},
+		{"resilient-idle", Options{RequestTimeout: 1e9, RetryBackoff: 30}, false},
+		{"traced", Options{}, true},
 	}
-	for name, base := range optSets {
+	for _, c := range cases {
 		for _, shards := range []int{0, 1, 2, 4} {
-			opts := base
+			opts := c.opts
 			opts.Shards = shards
-			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/shards=%d", c.name, shards), func(t *testing.T) {
 				s, err := NewWithOptions(hw, pr, opts)
 				if err != nil {
 					t.Fatal(err)
+				}
+				var buf *trace.Buffer
+				if c.traced {
+					buf = s.EnableTrace(0)
+				}
+				submit := func(r *model.Request) error {
+					_, err := s.Submit(r)
+					if buf != nil {
+						buf.Reset()
+					}
+					return err
 				}
 				stream, err := workload.NewRequestStream(w, rng.New(99))
 				if err != nil {
 					t.Fatal(err)
 				}
 				// Warm-up: remember every request's grouping, then grow the
-				// grouping arena, pending queues, event heap, and operation
-				// pools to this workload's high-water mark.
+				// grouping arena, pending queues, event heap, operation
+				// pools and trace buffer to this workload's high-water mark.
 				for i := range w.Requests {
-					if _, err := s.Submit(&w.Requests[i]); err != nil {
+					if err := submit(&w.Requests[i]); err != nil {
 						t.Fatal(err)
 					}
 				}
 				for i := 0; i < 50; i++ {
-					if _, err := s.Submit(stream.Next()); err != nil {
+					if err := submit(stream.Next()); err != nil {
 						t.Fatal(err)
 					}
 				}
 				var submitErr error
 				allocs := testing.AllocsPerRun(100, func() {
-					if _, err := s.Submit(stream.Next()); err != nil {
+					if err := submit(stream.Next()); err != nil {
 						submitErr = err
 					}
 				})

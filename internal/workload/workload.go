@@ -15,6 +15,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"paralleltape/internal/dist"
 	"paralleltape/internal/model"
@@ -74,7 +75,7 @@ func (p Params) Validate() error {
 		return fmt.Errorf("workload: MaxReqLen %d exceeds object population %d", p.MaxReqLen, p.NumObjects)
 	case p.ReqLenShape < 0:
 		return fmt.Errorf("workload: ReqLenShape must be non-negative, got %v", p.ReqLenShape)
-	case p.Alpha < 0:
+	case p.Alpha < 0 || math.IsNaN(p.Alpha):
 		return fmt.Errorf("workload: Alpha must be non-negative, got %v", p.Alpha)
 	}
 	return nil
@@ -149,7 +150,7 @@ func TargetMeanRequestBytes(w *model.Workload, target float64) (float64, error) 
 // keeps rank i+1). The object membership of each request is unchanged, so
 // Figure 6's alpha sweep isolates popularity skew from workload structure.
 func ReplaceAlpha(w *model.Workload, alpha float64) (*model.Workload, error) {
-	if alpha < 0 {
+	if alpha < 0 || math.IsNaN(alpha) {
 		return nil, fmt.Errorf("workload: alpha must be non-negative, got %v", alpha)
 	}
 	out := w.Clone()

@@ -123,6 +123,7 @@ func TestValidateRejections(t *testing.T) {
 		"len>population": func(p *Params) { p.MaxReqLen = p.NumObjects + 1 },
 		"reqshape<0":     func(p *Params) { p.ReqLenShape = -1 },
 		"alpha<0":        func(p *Params) { p.Alpha = -0.5 },
+		"alpha NaN":      func(p *Params) { p.Alpha = math.NaN() },
 	}
 	for name, mutate := range mutations {
 		p := smallParams()
@@ -188,6 +189,9 @@ func TestReplaceAlpha(t *testing.T) {
 	}
 	if _, err := ReplaceAlpha(w, -1); err == nil {
 		t.Error("negative alpha accepted")
+	}
+	if _, err := ReplaceAlpha(w, math.NaN()); err == nil {
+		t.Error("NaN alpha accepted")
 	}
 }
 
