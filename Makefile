@@ -1,6 +1,7 @@
 # Developer entry points. `make check` is the verification gate run before
-# every commit: build + vet + gofmt + race-enabled tests + the doc lints +
-# vet and tests of perfbench (a module of its own, which ./... skips).
+# every commit: build + vet + gofmt + race-enabled tests + one run of every
+# Go benchmark + the doc lints + vet and tests of perfbench (a module of
+# its own, which ./... skips).
 
 GO ?= go
 

@@ -2,7 +2,9 @@
 # check.sh — the repository's verification gate (same steps as `make check`):
 # build everything, vet everything, fail if gofmt would reformat any .go
 # file of the main module's packages or of perfbench/ (a module of its own),
-# run the full test suite under the race detector, run the doc lint (every
+# run the full test suite under the race detector, run every Go benchmark
+# once (go test compiles benchmarks but never runs them, so a benchmark
+# that fails at run time would otherwise pass), run the doc lint (every
 # exported identifier in internal/trace, internal/faults, internal/spans,
 # and the internal/sim kernel must carry a doc comment, and each package a
 # package-level comment; see doclint_test.go at the root), and vet and test
@@ -29,6 +31,9 @@ fi
 
 echo "== go test -race ./..."
 go test -race ./...
+
+echo "== go test -bench . -benchtime 1x ./... (each benchmark once)"
+go test -run '^$' -bench . -benchtime 1x ./...
 
 echo "== doc lint (internal/trace + internal/faults + internal/spans + internal/sim exported identifiers)"
 go test . -run TestExportedIdentifiersHaveDocComments -count=1

@@ -22,6 +22,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"time"
 
@@ -151,11 +152,16 @@ func isCSVPath(path string) bool {
 
 func run(o options) error {
 	for _, f := range []struct {
-		name string
-		n    int
-	}{{"requests", o.requests}, {"events", o.events}, {"explain", o.explain}} {
-		if f.n < 0 {
-			return fmt.Errorf("-%s must not be negative, got %d", f.name, f.n)
+		name   string
+		n, min int
+	}{
+		{"requests", o.requests, 0}, {"events", o.events, 0}, {"explain", o.explain, 0},
+		// placement reads a zero M or Epochs as its default of 4, so an
+		// explicit 0 would silently run another value.
+		{"m", o.m, 1}, {"epochs", o.epochs, 1},
+	} {
+		if f.n < f.min {
+			return fmt.Errorf("-%s must be at least %d, got %d", f.name, f.min, f.n)
 		}
 	}
 	if o.progress < 0 {
@@ -279,6 +285,10 @@ func run(o options) error {
 	// tapesim places once, so the clustering scratch (about 225 MB at
 	// paper scale) need not outlive the placement.
 	cluster.ReleaseScratch()
+	// The run allocates too little after placing to trigger a collection,
+	// so return the released scratch to the OS now rather than keep it
+	// resident through the simulation and report.
+	debug.FreeOSMemory()
 	fmt.Printf("placement: %s using %d tapes\n\n", pl.Scheme, pl.TapesUsed)
 	if o.describe {
 		d, err := placement.Describe(pl, w, hw)

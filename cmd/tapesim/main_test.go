@@ -80,7 +80,8 @@ func TestRunBadInputs(t *testing.T) {
 	}
 	// Negative counts and durations are errors: unchecked, -requests
 	// panics in makeslice, -events, -explain and -progress are silently
-	// ignored, and a negative -repair under -faults never finishes.
+	// ignored, and a negative -repair under -faults never finishes. So
+	// are a zero -m and -epochs, which would run the default of 4.
 	for _, c := range []struct {
 		flag string
 		set  func(o *options)
@@ -91,6 +92,8 @@ func TestRunBadInputs(t *testing.T) {
 		{"progress", func(o *options) { o.progress = -5 * time.Second }},
 		{"repair", func(o *options) { o.faults, o.mtbf, o.repair = true, 500, -600 }},
 		{"repair", func(o *options) { o.faults, o.mtbf, o.repair = true, 500, 0 }},
+		{"m", func(o *options) { o.m = 0 }},
+		{"epochs", func(o *options) { o.scheme, o.epochs = "online", 0 }},
 	} {
 		err := runSmall(t, "parallel-batch", c.set)
 		if err == nil || !strings.Contains(err.Error(), "-"+c.flag) {

@@ -70,6 +70,9 @@ func run(args []string, out io.Writer, stdin io.Reader) error {
 		if err != nil {
 			return err
 		}
+		if *n < 0 {
+			return fmt.Errorf("-n must not be negative, got %d", *n)
+		}
 		return spans.WriteSlowest(out, s, *n)
 	case "timeline":
 		fs := flag.NewFlagSet("timeline", flag.ContinueOnError)

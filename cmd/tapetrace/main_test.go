@@ -186,6 +186,10 @@ func TestErrors(t *testing.T) {
 	if err := run([]string{"breakdown", truncated}, &out, nil); err == nil {
 		t.Error("trace with unterminated request accepted")
 	}
+	// Unchecked, a negative count prints nothing and exits 0.
+	if err := run([]string{"slowest", "-n", "-3", genTrace(t)}, &out, nil); err == nil || !strings.Contains(err.Error(), "-n") {
+		t.Errorf("slowest -n -3: err = %v, want an error naming the flag", err)
+	}
 }
 
 // TestAnalysisDeterminism renders the same trace twice and across the two

@@ -7,65 +7,36 @@ import (
 	"time"
 )
 
-// BenchmarkSchedule measures the bare Schedule→dispatch cycle: one event
+// BenchmarkSchedule measures the bare ScheduleOp→dispatch cycle: one event
 // pushed and fired per op. This is the kernel's innermost loop; it must be
 // allocation-free in steady state (see TestScheduleSteadyStateAllocs).
 func BenchmarkSchedule(b *testing.B) {
 	eng := NewEngine()
-	fn := func() {}
+	op := opFunc(func() {})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		eng.Schedule(1, fn)
+		eng.ScheduleOp(1, op, 0)
 		eng.Run()
 	}
 }
 
 // BenchmarkScheduleSkewed interleaves near and far deadlines so up to 256
-// events stand pending — far past the near tier's 64, so the far half
-// spills to the heap while near events churn through the sorted tier.
-// Imminent transfers mixed with distant switch completions have this
-// shape, although no exhibit or workload holds more than 39 events. Sift
-// depth and cache behavior differ markedly from the FIFO-ish pattern of
-// BenchmarkSchedule.
+// events stand pending at eight distinct instants, most of them inserted
+// by binary search rather than appended. Imminent transfers mixed with
+// distant switch completions have this shape, although no exhibit or
+// workload holds more than 40 events. Search depth and shift lengths
+// differ markedly from the FIFO-ish pattern of BenchmarkSchedule.
 func BenchmarkScheduleSkewed(b *testing.B) {
 	eng := NewEngine()
-	fn := func() {}
+	op := opFunc(func() {})
 	delays := [...]float64{0.001, 1800, 0.01, 700, 0.1, 2400, 1, 300}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		eng.Schedule(delays[i%len(delays)], fn)
+		eng.ScheduleOp(delays[i%len(delays)], op, 0)
 		if i%256 == 255 {
-			// Drain everything scheduled so far (max delay < 4000) so the
-			// queue's high-water mark stays bounded and steady state is
-			// allocation-free.
-			eng.RunUntil(eng.Now() + 4000)
-		}
-	}
-	eng.Run()
-}
-
-// BenchmarkScheduleChurn keeps a standing far-future population in the
-// heap while near events churn through the sorted tier: every op schedules
-// a near event and a far event, and periodic partial drains pop near
-// events through the cursor and pull far ones out of the heap root. This
-// is the standing-heap stress the skewed benchmark's periodic full drains
-// do not produce; tracked as engine-schedule-churn.
-func BenchmarkScheduleChurn(b *testing.B) {
-	eng := NewEngine()
-	fn := func() {}
-	far := [...]float64{30000, 1200, 90000, 400, 7000, 250000, 2600, 45000}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eng.Schedule(float64(i%13)*0.25, fn)
-		eng.Schedule(far[i%len(far)], fn)
-		if i%64 == 63 {
-			// Drain the near events; far events stay standing in the heap.
-			eng.RunUntil(eng.Now() + 30)
-		}
-		if i%1024 == 1023 {
-			// Advance deep enough to pop most standing far events (all but
-			// the quarter-million-second stragglers).
-			eng.RunUntil(eng.Now() + 100000)
+			// Drain everything scheduled so far so the queue's high-water
+			// mark stays bounded and steady state is allocation-free.
+			eng.Run()
 		}
 	}
 	eng.Run()
@@ -73,75 +44,100 @@ func BenchmarkScheduleChurn(b *testing.B) {
 
 // TestScheduleSteadyStateAllocs pins the kernel's allocation contract:
 // once the event queue's backing array has grown to the run's high-water
-// mark, Schedule plus dispatch allocate nothing.
+// mark, scheduling plus dispatch allocate nothing.
 func TestScheduleSteadyStateAllocs(t *testing.T) {
 	eng := NewEngine()
-	fn := func() {}
+	op := opFunc(func() {})
 	// Warm the queue past the steady-state population so the backing array
 	// has its final capacity.
 	for i := 0; i < 128; i++ {
-		eng.Schedule(float64(i%7), fn)
+		eng.ScheduleOp(float64(i%7), op, 0)
 	}
 	eng.Run()
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 64; i++ {
-			eng.Schedule(float64(i%7), fn)
+			eng.ScheduleOp(float64(i%7), op, 0)
 		}
 		eng.Run()
 	})
 	if allocs != 0 {
-		t.Fatalf("Schedule+dispatch steady state allocates %.1f per run, want 0", allocs)
+		t.Fatalf("schedule+dispatch steady state allocates %.1f per run, want 0", allocs)
 	}
 }
 
-// TestScheduleSteadyStateAllocsSpill pins the allocation contract at the
-// queue's spill high-water mark: a standing far-future population large
-// enough to have spilled to the heap, plus near-future churn through the
-// sorted tier and the cursor fast path. Once both tiers' arrays have grown,
-// Schedule plus dispatch allocate nothing.
-func TestScheduleSteadyStateAllocsSpill(t *testing.T) {
+// standingOp reschedules itself every period seconds while the shared
+// budget lasts, so each op keeps one event pending until the budget runs
+// out.
+type standingOp struct {
+	eng    *Engine
+	period float64
+	budget *int
+}
+
+// Run implements Op.
+func (op *standingOp) Run(uint8) {
+	if *op.budget > 0 {
+		*op.budget--
+		op.eng.ScheduleOp(op.period, op, 0)
+	}
+}
+
+// TestScheduleSteadyStateAllocsStanding pins the allocation contract under
+// a standing backlog: 400 self-rescheduling ops keep 400 events pending
+// through one Run, so the cursor never catches up with the tail and pop
+// never rewinds the array. The array stays bounded only because push
+// slides the pending events to the front before append would grow it; a
+// Run 50 times longer than the one that warmed the array allocates nothing.
+func TestScheduleSteadyStateAllocsStanding(t *testing.T) {
 	eng := NewEngine()
-	fn := func() {}
-	delays := [...]float64{0, 0.001, 1800, 0.01, 700, 0.1, 2400, 1, 300, 90000}
-	churn := func() {
-		for i := 0; i < 512; i++ {
-			eng.Schedule(delays[i%len(delays)], fn)
-			if i%128 == 127 {
-				eng.RunUntil(eng.Now() + 4000) // drain near, keep far standing
-			}
-		}
-		eng.RunUntil(eng.Now() + 200000) // drain the far events out of the heap
+	var budget int
+	ops := make([]standingOp, 400)
+	for i := range ops {
+		// Seven periods interleave the reschedules, so pushes mix tail
+		// appends with binary-searched inserts.
+		ops[i] = standingOp{eng: eng, period: float64(1 + i%7), budget: &budget}
 	}
-	churn() // grow both tiers to their high-water marks
-	if allocs := testing.AllocsPerRun(20, churn); allocs != 0 {
-		t.Fatalf("spill steady state allocates %.1f per run, want 0", allocs)
+	run := func(firings int) {
+		budget = firings
+		for i := range ops {
+			eng.ScheduleOp(float64(i)/float64(len(ops)), &ops[i], 0)
+		}
+		eng.Run()
+	}
+	// AllocsPerRun's first, unmeasured call warms the array on a short run;
+	// the measured call pushes 50 times as many events through it.
+	firings := 2_000
+	allocs := testing.AllocsPerRun(1, func() {
+		run(firings)
+		firings = 100_000
+	})
+	if allocs != 0 {
+		t.Fatalf("standing backlog allocates %.0f over a warm run, want 0", allocs)
 	}
 }
 
-// TestSpillGrowthAllocBudget puts an explicit budget on first-contact
-// spill growth: draining a fresh far-future population through tiers that
-// have never grown may allocate (the near tier's and the heap's backing
-// arrays), but within a fixed budget — and a second pass over the grown
-// arrays must allocate nothing.
+// TestSpillGrowthAllocBudget schedules 600 events spread over 100,000 s,
+// many times the simulator's largest pending set, and drains them. The
+// first fill grows the array by doubling; AllocsPerRun spends it as its
+// unmeasured warm-up call, so the 256 budget covers one refill of the
+// grown array plus the harness, and the 20 refills after it must allocate
+// nothing.
 func TestSpillGrowthAllocBudget(t *testing.T) {
 	eng := NewEngine()
-	fn := func() {}
+	op := opFunc(func() {})
 	r := rand.New(rand.NewSource(1))
 	fill := func() {
 		for i := 0; i < 600; i++ {
-			eng.Schedule(r.Float64()*100000, fn)
+			eng.ScheduleOp(r.Float64()*100000, op, 0)
 		}
 	}
 	allocs := testing.AllocsPerRun(1, func() { fill(); eng.Run() })
-	// Both tiers grow by doubling, a few dozen allocations at most. 256
-	// bounds the whole first-growth transient with slack for the testing
-	// harness itself, while still catching a per-event leak (600 events
-	// would show up as ≥ 600).
+	// A per-event leak would show up as ≥ 600.
 	if allocs > 256 {
-		t.Fatalf("first-contact spill growth allocates %.1f, budget 256", allocs)
+		t.Fatalf("first-contact growth allocates %.1f, budget 256", allocs)
 	}
 	if allocs := testing.AllocsPerRun(20, func() { fill(); eng.Run() }); allocs != 0 {
-		t.Fatalf("grown tiers allocate %.1f per run, want 0", allocs)
+		t.Fatalf("grown array allocates %.1f per run, want 0", allocs)
 	}
 }
 
@@ -150,14 +146,14 @@ func TestSpillGrowthAllocBudget(t *testing.T) {
 // nothing.
 func TestResetSteadyStateAllocs(t *testing.T) {
 	eng := NewEngine()
-	fn := func() {}
+	op := opFunc(func() {})
 	for i := 0; i < 64; i++ {
-		eng.Schedule(float64(i), fn)
+		eng.ScheduleOp(float64(i), op, 0)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
 		eng.Reset()
 		for i := 0; i < 64; i++ {
-			eng.Schedule(float64(i), fn)
+			eng.ScheduleOp(float64(i), op, 0)
 		}
 	})
 	if allocs != 0 {
@@ -166,9 +162,9 @@ func TestResetSteadyStateAllocs(t *testing.T) {
 }
 
 // TestFiredEventsCollectible verifies the queue does not pin fired
-// callbacks: pop zeroes the vacated slot, so a callback's captures become
-// garbage as soon as it has run, even while the engine (and its reusable
-// backing array) stays alive.
+// continuations: pop zeroes the vacated slot, so a continuation's captures
+// become garbage as soon as it has run, even while the engine (and its
+// reusable backing array) stays alive.
 func TestFiredEventsCollectible(t *testing.T) {
 	eng := NewEngine()
 	type payload struct{ buf [4096]byte }
@@ -177,7 +173,7 @@ func TestFiredEventsCollectible(t *testing.T) {
 	// The finalizer runs on the runtime's finalizer goroutine; signal
 	// through a channel so the handoff is race-free.
 	runtime.SetFinalizer(obj, func(*payload) { close(collected) })
-	eng.Schedule(0, func() { _ = obj.buf[0] })
+	eng.ScheduleOp(0, opFunc(func() { _ = obj.buf[0] }), 0)
 	eng.Run()
 	obj = nil
 	done := false
@@ -190,11 +186,11 @@ func TestFiredEventsCollectible(t *testing.T) {
 		}
 	}
 	if !done {
-		t.Fatal("callback captures still reachable after the event fired; the queue is pinning popped events")
+		t.Fatal("continuation captures still reachable after the event fired; the queue is pinning popped events")
 	}
 	// Keep the engine alive past the GC loop so collection can only be
 	// explained by the slot-zeroing, not by the whole queue dying.
-	if eng.Pending() != 0 {
-		t.Fatalf("queue not empty: %d", eng.Pending())
+	if n := eng.queue.len(); n != 0 {
+		t.Fatalf("queue not empty: %d", n)
 	}
 }

@@ -11,7 +11,7 @@ func TestEngineRunsInTimeOrder(t *testing.T) {
 	var order []float64
 	for _, d := range []float64{5, 1, 3, 2, 4} {
 		d := d
-		e.Schedule(d, func() { order = append(order, d) })
+		e.ScheduleOp(d, opFunc(func() { order = append(order, d) }), 0)
 	}
 	end := e.Run()
 	if end != 5 {
@@ -30,7 +30,7 @@ func TestEngineFIFOAtSameInstant(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(1, func() { order = append(order, i) })
+		e.ScheduleOp(1, opFunc(func() { order = append(order, i) }), 0)
 	}
 	e.Run()
 	for i, v := range order {
@@ -43,13 +43,13 @@ func TestEngineFIFOAtSameInstant(t *testing.T) {
 func TestEngineNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	var times []float64
-	e.Schedule(1, func() {
+	e.ScheduleOp(1, opFunc(func() {
 		times = append(times, e.Now())
-		e.Schedule(2, func() {
+		e.ScheduleOp(2, opFunc(func() {
 			times = append(times, e.Now())
-			e.Schedule(3, func() { times = append(times, e.Now()) })
-		})
-	})
+			e.ScheduleOp(3, opFunc(func() { times = append(times, e.Now()) }), 0)
+		}), 0)
+	}), 0)
 	e.Run()
 	want := []float64{1, 3, 6}
 	if len(times) != 3 {
@@ -65,8 +65,8 @@ func TestEngineNestedScheduling(t *testing.T) {
 func TestEngineImmediatelyOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []string
-	e.Schedule(0, func() { order = append(order, "a") })
-	e.Immediately(func() { order = append(order, "b") })
+	e.ScheduleOp(0, opFunc(func() { order = append(order, "a") }), 0)
+	e.ImmediatelyOp(opFunc(func() { order = append(order, "b") }), 0)
 	e.Run()
 	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
 		t.Errorf("order = %v", order)
@@ -79,123 +79,30 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 			t.Error("negative delay did not panic")
 		}
 	}()
-	NewEngine().Schedule(-1, func() {})
-}
-
-func TestEngineAtPastPanics(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(5, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("At in the past did not panic")
-			}
-		}()
-		e.At(1, func() {})
-	})
-	e.Run()
+	NewEngine().ScheduleOp(-1, opFunc(func() {}), 0)
 }
 
 func TestEngineNilCallbackPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("nil callback did not panic")
+			t.Error("nil continuation did not panic")
 		}
 	}()
-	NewEngine().At(0, nil)
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	for _, d := range []float64{1, 2, 3, 4} {
-		e.Schedule(d, func() { fired++ })
-	}
-	drained := e.RunUntil(2.5)
-	if drained {
-		t.Error("RunUntil(2.5) claimed drained")
-	}
-	if fired != 2 {
-		t.Errorf("fired = %d, want 2", fired)
-	}
-	if e.Now() != 2.5 {
-		t.Errorf("Now = %v, want 2.5", e.Now())
-	}
-	if e.Pending() != 2 {
-		t.Errorf("Pending = %d, want 2", e.Pending())
-	}
-	if !e.RunUntil(100) {
-		t.Error("second RunUntil should drain")
-	}
-	if fired != 4 {
-		t.Errorf("fired = %d, want 4", fired)
-	}
-}
-
-func TestEngineRunUntilAdvancesIdleClock(t *testing.T) {
-	e := NewEngine()
-	e.RunUntil(42)
-	if e.Now() != 42 {
-		t.Errorf("Now = %v, want 42", e.Now())
-	}
+	NewEngine().ScheduleOp(0, nil, 0)
 }
 
 func TestEngineEventLimit(t *testing.T) {
 	e := NewEngine()
 	e.SetEventLimit(10)
-	var loop func()
-	loop = func() { e.Schedule(1, loop) }
-	e.Schedule(0, loop)
+	var loop opFunc
+	loop = func() { e.ScheduleOp(1, loop, 0) }
+	e.ScheduleOp(0, loop, 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("event limit did not panic")
 		}
 	}()
 	e.Run()
-}
-
-// TestEngineEventLimitRunUntil covers the runaway guard on the bounded
-// run loop, which checks the limit independently of Run.
-func TestEngineEventLimitRunUntil(t *testing.T) {
-	e := NewEngine()
-	e.SetEventLimit(10)
-	var loop func()
-	loop = func() { e.Schedule(1, loop) }
-	e.Schedule(0, loop)
-	defer func() {
-		if recover() == nil {
-			t.Error("event limit did not panic in RunUntil")
-		}
-	}()
-	e.RunUntil(1e9)
-}
-
-// TestEngineRunUntilUnderLimit pins the guard's boundary: exactly limit
-// events is fine, and a bounded run that stops at its deadline leaves the
-// remaining events (and budget) intact.
-func TestEngineRunUntilUnderLimit(t *testing.T) {
-	e := NewEngine()
-	e.SetEventLimit(3)
-	for i := 0; i < 3; i++ {
-		e.Schedule(float64(i), func() {})
-	}
-	e.Schedule(100, func() {})
-	if e.RunUntil(50) {
-		t.Error("RunUntil(50) reported a drained queue with an event at t=100")
-	}
-	if e.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1", e.Pending())
-	}
-}
-
-func TestEngineSteps(t *testing.T) {
-	e := NewEngine()
-	for i := 0; i < 7; i++ {
-		e.Schedule(float64(i), func() {})
-	}
-	e.Run()
-	if e.Steps() != 7 {
-		t.Errorf("Steps = %d, want 7", e.Steps())
-	}
 }
 
 func TestEngineDeterministic(t *testing.T) {
@@ -208,10 +115,10 @@ func TestEngineDeterministic(t *testing.T) {
 			if depth == 0 {
 				return
 			}
-			e.Schedule(0.5, func() { recur(depth - 1) })
-			e.Schedule(1.5, func() { recur(depth - 1) })
+			e.ScheduleOp(0.5, opFunc(func() { recur(depth - 1) }), 0)
+			e.ScheduleOp(1.5, opFunc(func() { recur(depth - 1) }), 0)
 		}
-		e.Schedule(0, func() { recur(6) })
+		e.ScheduleOp(0, opFunc(func() { recur(6) }), 0)
 		e.Run()
 		return trace
 	}
@@ -231,9 +138,9 @@ func TestEngineQuickSortedFiring(t *testing.T) {
 	f := func(raw []uint16) bool {
 		e := NewEngine()
 		var seen []float64
+		record := opFunc(func() { seen = append(seen, e.Now()) })
 		for _, r := range raw {
-			d := float64(r) / 100
-			e.Schedule(d, func() { seen = append(seen, e.Now()) })
+			e.ScheduleOp(float64(r)/100, record, 0)
 		}
 		e.Run()
 		return sort.Float64sAreSorted(seen) && len(seen) == len(raw)

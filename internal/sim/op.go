@@ -6,10 +6,7 @@ package sim
 // opens, fault-retry and repair wakeups) implement Op once, select their
 // stage with a dense tag switch, and schedule themselves with ScheduleOp —
 // no closure is captured and dispatch is one interface call into the
-// record's jump table. Plain callbacks still schedule through
-// Schedule/At/Immediately: funcOp is pointer-shaped, so wrapping a func()
-// in the Op interface does not allocate, which keeps the closure API as a
-// zero-cost escape hatch for cold paths and tests.
+// record's jump table.
 
 // Op is a schedulable continuation record. The engine invokes Run with the
 // tag the event was scheduled under; a record with several stages
@@ -20,10 +17,3 @@ type Op interface {
 	// the engine with the clock already advanced to the event's time.
 	Run(tag uint8)
 }
-
-// funcOp adapts a plain callback to Op; the tag is ignored. func values are
-// pointer-shaped, so converting one to Op allocates nothing.
-type funcOp func()
-
-// Run implements Op by calling the wrapped callback.
-func (f funcOp) Run(uint8) { f() }

@@ -105,9 +105,8 @@ type delayProfile struct {
 var delayProfiles = []delayProfile{
 	// Tight near-future traffic: the drain-between-requests steady state.
 	{"near", func(r *rand.Rand) float64 { return r.Float64() * 10 }},
-	// Near/far mix: most events soon, a long tail far out — the shape that
-	// spills the far tail to the heap and moves lim as the near tier
-	// drains.
+	// Near/far mix: most events soon, a long tail far out, so most pushes
+	// binary-search their slot instead of appending.
 	{"skewed", func(r *rand.Rand) float64 {
 		if r.Intn(4) == 0 {
 			return 1000 + r.Float64()*100000
@@ -122,16 +121,17 @@ var delayProfiles = []delayProfile{
 		}
 		return 0
 	}},
-	// Coarse quantized times: many exactly-equal instants, so every spill
-	// must find an at boundary to cut on.
+	// Coarse quantized times: many exactly-equal instants, so inserts land
+	// inside runs of equal times and order them by seq alone.
 	{"quantized", func(r *rand.Rand) float64 { return float64(r.Intn(8)) * 2.5 }},
 }
 
-// TestQueueMatchesHeapOrder drives the two-tier queue and the old 4-ary
+// TestQueueMatchesHeapOrder drives the sorted queue and the old 4-ary
 // heap through identical randomized push/pop schedules and requires
 // bit-identical pop order, including mid-stream reuse after reset. Every
-// profile holds hundreds of pending events, so spills and lim refreshes
-// run throughout.
+// profile holds hundreds of pending events, and the near, skewed and
+// quantized profiles each fill the array with its first half consumed at
+// least once, so push slides the pending events to the front mid-run.
 func TestQueueMatchesHeapOrder(t *testing.T) {
 	for _, prof := range delayProfiles {
 		t.Run(prof.name, func(t *testing.T) {
@@ -142,7 +142,7 @@ func TestQueueMatchesHeapOrder(t *testing.T) {
 			now := Time(0) // last popped instant; pushes are never in the past
 			push := func(at Time) {
 				seq++
-				q.push(event{at: at, key: seq << 8, op: funcOp(func() {})})
+				q.push(event{at: at, key: seq << 8, op: opFunc(func() {})})
 				ref.push(heapEvent{at: at, seq: seq})
 			}
 			popBoth := func() {
@@ -154,7 +154,6 @@ func TestQueueMatchesHeapOrder(t *testing.T) {
 				}
 				now = want.at
 			}
-			sawHeap := false
 			for round := 0; round < 4; round++ {
 				for i := 0; i < 3000; i++ {
 					switch {
@@ -167,10 +166,9 @@ func TestQueueMatchesHeapOrder(t *testing.T) {
 					default:
 						popBoth()
 					}
-					if q.size != ref.len() {
-						t.Fatalf("size mismatch: queue %d, heap %d", q.size, ref.len())
+					if q.len() != ref.len() {
+						t.Fatalf("size mismatch: queue %d, heap %d", q.len(), ref.len())
 					}
-					sawHeap = sawHeap || q.heap.len() > 0
 				}
 				// Drain half, then keep scheduling: pops interleaved with
 				// pushes move the near cursor mid-structure.
@@ -188,104 +186,9 @@ func TestQueueMatchesHeapOrder(t *testing.T) {
 			for ref.len() > 0 {
 				popBoth()
 			}
-			if q.size != 0 || q.heap.len() != 0 {
+			if q.len() != 0 {
 				t.Fatal("queue not empty after drain")
 			}
-			if !sawHeap {
-				t.Error("schedule never spilled to the heap tier; spill coverage lost")
-			}
 		})
-	}
-}
-
-// TestQueueSpillPaths forces the spill routes — a burst past nearCap that
-// spills its far half to the heap, a second burst that spills again while
-// the heap already holds events, pops that drain the near tier and move
-// lim up to the heap's minimum, and an equal-time burst past nearCap that
-// has no at boundary to cut on and must stay in the near tier — and checks
-// pop order against the reference throughout.
-func TestQueueSpillPaths(t *testing.T) {
-	var q eventQueue
-	var ref refQueue
-	var seq uint64
-	now := Time(0)
-	push := func(at Time) {
-		seq++
-		q.push(event{at: at, key: seq << 8, op: funcOp(func() {})})
-		ref.push(heapEvent{at: at, seq: seq})
-	}
-	popBoth := func() {
-		want := ref.pop()
-		got := q.pop()
-		if got.at != want.at || got.key>>8 != want.seq {
-			t.Fatalf("pop mismatch: queue (at=%v seq=%d), heap (at=%v seq=%d)",
-				got.at, got.key>>8, want.at, want.seq)
-		}
-		now = want.at
-	}
-	nearLen := func() int { return len(q.near) - q.head }
-
-	// Bursts of distinct times past nearCap spill their far half, the
-	// second one while the heap already holds the first one's.
-	r := rand.New(rand.NewSource(7))
-	for burst := 0; burst < 2; burst++ {
-		for i := 0; i < 300; i++ {
-			push(Time(r.Float64() * 1000))
-		}
-		if q.heap.len() == 0 || nearLen() > nearCap {
-			t.Fatalf("burst %d: near tier %d, heap %d; want at most %d near and a non-empty heap",
-				burst, nearLen(), q.heap.len(), nearCap)
-		}
-	}
-	if q.size != ref.len() {
-		t.Fatalf("size mismatch: queue %d, heap %d", q.size, ref.len())
-	}
-
-	// Draining the near tier moves lim up to the heap's minimum, and a push
-	// below the new lim returns to the near tier.
-	refreshes := 0
-	for q.heap.len() > 0 {
-		for nearLen() > 0 {
-			popBoth()
-		}
-		if q.heap.len() == 0 {
-			break
-		}
-		if q.lim != q.heap.ev[0].at {
-			t.Fatalf("near tier drained: lim %v, heap minimum %v", q.lim, q.heap.ev[0].at)
-		}
-		if at := now + (q.lim-now)/2; at < q.lim {
-			heapLen := q.heap.len()
-			push(at)
-			if q.heap.len() != heapLen || nearLen() != 1 {
-				t.Fatalf("push below lim went to the heap (near %d, heap %d→%d)",
-					nearLen(), heapLen, q.heap.len())
-			}
-			refreshes++
-			popBoth()
-		}
-		popBoth() // the heap root
-	}
-	for ref.len() > 0 {
-		popBoth()
-	}
-	if refreshes == 0 {
-		t.Error("pops never crossed a lim refresh; refresh coverage lost")
-	}
-
-	// An equal-time burst past nearCap has no at boundary to cut on: it
-	// stays in the near tier and still pops in seq order.
-	for i := 0; i < 4*nearCap; i++ {
-		push(now + 1)
-	}
-	if q.heap.len() != 0 || nearLen() != 4*nearCap {
-		t.Fatalf("equal-time burst: near tier %d, heap %d; want %d near and an empty heap",
-			nearLen(), q.heap.len(), 4*nearCap)
-	}
-	for ref.len() > 0 {
-		popBoth()
-	}
-	if q.size != 0 || q.heap.len() != 0 || nearLen() != 0 {
-		t.Fatal("queue not empty after drain")
 	}
 }

@@ -7,9 +7,9 @@ import "paralleltape/internal/trace"
 // that library) maps directly onto it: each tape switch acquires the robot,
 // holds it for the cartridge moves, and releases it.
 //
-// Acquire never blocks the caller; instead the grant callback fires (via the
-// engine) once the resource is free, at which point the holder must
-// eventually call Release exactly once.
+// AcquireOp never blocks the caller; instead the grantee's Granted fires
+// (via the engine) once the resource is free, at which point the holder
+// must eventually call Release exactly once.
 //
 // The grant path is allocation-free in steady state: the resource is
 // exclusive, so a single embedded Grant is recycled across ownership
@@ -42,20 +42,12 @@ type Resource struct {
 }
 
 // Grantee receives ownership of a Resource. Pooled continuation records
-// implement it directly so queueing for a resource captures no closure;
-// plain func(*Grant) callbacks are adapted for free by Acquire (grantFunc
-// is pointer-shaped).
+// implement it directly, so queueing for a resource captures no closure.
 type Grantee interface {
 	// Granted is invoked through the engine once the resource is owned by
 	// this waiter; the holder must eventually call g.Release exactly once.
 	Granted(g *Grant)
 }
-
-// grantFunc adapts a plain grant callback to Grantee without allocating.
-type grantFunc func(g *Grant)
-
-// Granted implements Grantee by calling the wrapped callback.
-func (f grantFunc) Granted(g *Grant) { f(g) }
 
 // waiter is one queued acquisition: the grantee plus the request instant
 // (for wait-time accounting).
@@ -101,7 +93,7 @@ func (r *Resource) Name() string { return r.name }
 // the recycled grant to the armed waiter. At most one dispatch is pending
 // per resource at any instant, because a new one is only scheduled by
 // Release (which requires the previous grant to have fired) or by an
-// Acquire that found the resource free.
+// AcquireOp that found the resource free.
 func (r *Resource) Run(uint8) {
 	w := r.next
 	r.next = waiter{}
@@ -135,21 +127,12 @@ func (r *Resource) dequeue() waiter {
 	return w
 }
 
-// Acquire requests exclusive use. fn is invoked (through the engine, at the
-// current instant or later) once the resource is granted.
-func (r *Resource) Acquire(fn func(g *Grant)) {
-	if fn == nil {
-		panic("sim: Acquire with nil callback")
-	}
-	r.AcquireOp(grantFunc(fn))
-}
-
-// AcquireOp is the typed-continuation form of Acquire: gr.Granted fires
-// (through the engine) once the resource is granted. A pooled record
-// queueing itself this way costs no allocation.
+// AcquireOp requests exclusive use: gr.Granted fires (through the engine,
+// at the current instant or later) once the resource is granted. A pooled
+// record queueing itself this way costs no allocation.
 func (r *Resource) AcquireOp(gr Grantee) {
 	if gr == nil {
-		panic("sim: Acquire with nil callback")
+		panic("sim: AcquireOp with nil grantee")
 	}
 	if !r.busy {
 		r.busy = true
@@ -207,15 +190,9 @@ func (r *Resource) Reset() {
 	r.maxQueue = 0
 }
 
-// Busy reports whether the resource is currently held.
-func (r *Resource) Busy() bool { return r.busy }
-
-// QueueLen returns the number of waiters.
-func (r *Resource) QueueLen() int { return r.count }
-
 // Stats summarizes utilization over the run so far.
 type ResourceStats struct {
-	Acquisitions int     // completed Acquire calls, queued or not
+	Acquisitions int     // grants made, whether or not the acquirer queued
 	BusyTotal    float64 // total seconds held
 	WaitTotal    float64 // total seconds waiters spent queued
 	MaxQueue     int     // high-water mark of the waiter queue
@@ -240,7 +217,6 @@ func (r *Resource) Stats() ResourceStats {
 // serving this request".
 type Latch struct {
 	remaining int
-	fired     bool
 	onZero    Op
 	zeroTag   uint8
 	eng       *Engine // optional, for trace emission only
@@ -248,7 +224,7 @@ type Latch struct {
 }
 
 // NewLatch returns a latch expecting count completions. count 0 fires
-// immediately when Wait is armed.
+// immediately when WaitOp is armed.
 func NewLatch(count int) *Latch {
 	if count < 0 {
 		panic("sim: NewLatch with negative count")
@@ -264,7 +240,6 @@ func (l *Latch) Reset(count int) {
 		panic("sim: Latch.Reset with negative count")
 	}
 	l.remaining = count
-	l.fired = false
 	l.onZero = nil
 	l.zeroTag = 0
 }
@@ -278,36 +253,15 @@ func (l *Latch) Observe(eng *Engine, name string) *Latch {
 	return l
 }
 
-// Add increases the expected completion count. It panics if the latch
-// already fired — adding after completion is a scheduling bug.
-func (l *Latch) Add(n int) {
-	if l.fired {
-		panic("sim: Latch.Add after completion")
-	}
-	if n < 0 {
-		panic("sim: Latch.Add with negative n")
-	}
-	l.remaining += n
-}
-
-// Wait arms the completion callback. If the count is already zero the
-// callback fires synchronously.
-func (l *Latch) Wait(fn func()) {
-	if fn == nil {
-		panic("sim: Latch.Wait with nil callback")
-	}
-	l.WaitOp(funcOp(fn), 0)
-}
-
-// WaitOp is the typed-continuation form of Wait: op.Run(tag) fires —
+// WaitOp arms the completion continuation: op.Run(tag) fires —
 // synchronously, in engine context — when the count reaches zero, which may
 // be during this call if it already has.
 func (l *Latch) WaitOp(op Op, tag uint8) {
 	if l.onZero != nil {
-		panic("sim: Latch.Wait called twice")
+		panic("sim: Latch.WaitOp called twice")
 	}
 	if op == nil {
-		panic("sim: Latch.Wait with nil callback")
+		panic("sim: Latch.WaitOp with nil continuation")
 	}
 	l.onZero = op
 	l.zeroTag = tag
@@ -317,7 +271,7 @@ func (l *Latch) WaitOp(op Op, tag uint8) {
 // Done records one completion.
 func (l *Latch) Done() {
 	if l.remaining <= 0 {
-		panic("sim: Latch.Done called more times than Add'ed")
+		panic("sim: Latch.Done called more times than its count")
 	}
 	l.remaining--
 	l.maybeFire()
@@ -327,8 +281,9 @@ func (l *Latch) Done() {
 func (l *Latch) Remaining() int { return l.remaining }
 
 func (l *Latch) maybeFire() {
-	if l.remaining == 0 && l.onZero != nil && !l.fired {
-		l.fired = true
+	// Fires at most once per arming: afterwards Done panics on the zero
+	// count and WaitOp on the armed continuation.
+	if l.remaining == 0 && l.onZero != nil {
 		if l.eng != nil && l.eng.rec != nil {
 			l.eng.rec.Record(trace.Event{
 				T: l.eng.now, Kind: trace.KindLatchOpen,

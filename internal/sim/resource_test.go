@@ -10,24 +10,24 @@ func TestResourceExclusive(t *testing.T) {
 	var order []string
 	// Holder 1 takes the resource for 10s; holder 2 requests at t=1 and
 	// must wait until t=10.
-	e.Schedule(0, func() {
-		r.Acquire(func(g *Grant) {
+	e.ScheduleOp(0, opFunc(func() {
+		r.AcquireOp(granteeFunc(func(g *Grant) {
 			order = append(order, "a-acquired")
-			e.Schedule(10, func() {
+			e.ScheduleOp(10, opFunc(func() {
 				order = append(order, "a-release")
 				g.Release()
-			})
-		})
-	})
-	e.Schedule(1, func() {
-		r.Acquire(func(g *Grant) {
+			}), 0)
+		}))
+	}), 0)
+	e.ScheduleOp(1, opFunc(func() {
+		r.AcquireOp(granteeFunc(func(g *Grant) {
 			if e.Now() != 10 {
 				t.Errorf("second grant at t=%v, want 10", e.Now())
 			}
 			order = append(order, "b-acquired")
 			g.Release()
-		})
-	})
+		}))
+	}), 0)
 	e.Run()
 	want := []string{"a-acquired", "a-release", "b-acquired"}
 	if len(order) != len(want) {
@@ -44,19 +44,19 @@ func TestResourceFIFO(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "robot")
 	var served []int
-	e.Schedule(0, func() {
-		r.Acquire(func(g *Grant) {
-			e.Schedule(5, func() { g.Release() })
-		})
-	})
+	e.ScheduleOp(0, opFunc(func() {
+		r.AcquireOp(granteeFunc(func(g *Grant) {
+			e.ScheduleOp(5, opFunc(g.Release), 0)
+		}))
+	}), 0)
 	for i := 0; i < 5; i++ {
 		i := i
-		e.Schedule(float64(i)+0.1, func() {
-			r.Acquire(func(g *Grant) {
+		e.ScheduleOp(float64(i)+0.1, opFunc(func() {
+			r.AcquireOp(granteeFunc(func(g *Grant) {
 				served = append(served, i)
-				e.Schedule(1, func() { g.Release() })
-			})
-		})
+				e.ScheduleOp(1, opFunc(g.Release), 0)
+			}))
+		}), 0)
 	}
 	e.Run()
 	for i, v := range served {
@@ -70,12 +70,12 @@ func TestResourceImmediateWhenFree(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "robot")
 	granted := -1.0
-	e.Schedule(3, func() {
-		r.Acquire(func(g *Grant) {
+	e.ScheduleOp(3, opFunc(func() {
+		r.AcquireOp(granteeFunc(func(g *Grant) {
 			granted = e.Now()
 			g.Release()
-		})
-	})
+		}))
+	}), 0)
 	e.Run()
 	if granted != 3 {
 		t.Errorf("grant at t=%v, want 3 (no artificial delay)", granted)
@@ -85,8 +85,8 @@ func TestResourceImmediateWhenFree(t *testing.T) {
 func TestResourceDoubleReleasePanics(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "robot")
-	e.Schedule(0, func() {
-		r.Acquire(func(g *Grant) {
+	e.ScheduleOp(0, opFunc(func() {
+		r.AcquireOp(granteeFunc(func(g *Grant) {
 			g.Release()
 			defer func() {
 				if recover() == nil {
@@ -94,8 +94,8 @@ func TestResourceDoubleReleasePanics(t *testing.T) {
 				}
 			}()
 			g.Release()
-		})
-	})
+		}))
+	}), 0)
 	e.Run()
 }
 
@@ -104,11 +104,11 @@ func TestResourceStats(t *testing.T) {
 	r := NewResource(e, "robot")
 	// Two holders, 10s each, second queues at t=0 and waits 10s.
 	for i := 0; i < 2; i++ {
-		e.Schedule(0, func() {
-			r.Acquire(func(g *Grant) {
-				e.Schedule(10, func() { g.Release() })
-			})
-		})
+		e.ScheduleOp(0, opFunc(func() {
+			r.AcquireOp(granteeFunc(func(g *Grant) {
+				e.ScheduleOp(10, opFunc(g.Release), 0)
+			}))
+		}), 0)
 	}
 	e.Run()
 	s := r.Stats()
@@ -126,27 +126,30 @@ func TestResourceStats(t *testing.T) {
 	}
 }
 
+// TestResourceBusyAndQueueLen checks the holder flag and the waiter count
+// that AcquireOp and Release maintain.
 func TestResourceBusyAndQueueLen(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "robot")
-	if r.Busy() {
+	if r.busy {
 		t.Error("fresh resource busy")
 	}
-	e.Schedule(0, func() {
-		r.Acquire(func(g *Grant) { e.Schedule(5, g.Release) })
-		r.Acquire(func(g *Grant) { g.Release() })
-		r.Acquire(func(g *Grant) { g.Release() })
-	})
-	e.Schedule(1, func() {
-		if !r.Busy() {
+	release := granteeFunc(func(g *Grant) { g.Release() })
+	e.ScheduleOp(0, opFunc(func() {
+		r.AcquireOp(granteeFunc(func(g *Grant) { e.ScheduleOp(5, opFunc(g.Release), 0) }))
+		r.AcquireOp(release)
+		r.AcquireOp(release)
+	}), 0)
+	e.ScheduleOp(1, opFunc(func() {
+		if !r.busy {
 			t.Error("resource not busy at t=1")
 		}
-		if r.QueueLen() != 2 {
-			t.Errorf("QueueLen = %d, want 2", r.QueueLen())
+		if r.count != 2 {
+			t.Errorf("queued waiters = %d, want 2", r.count)
 		}
-	})
+	}), 0)
 	e.Run()
-	if r.Busy() {
+	if r.busy {
 		t.Error("resource busy after drain")
 	}
 }
@@ -164,9 +167,9 @@ func TestLatchFiresAtZero(t *testing.T) {
 	e := NewEngine()
 	l := NewLatch(3)
 	firedAt := -1.0
-	l.Wait(func() { firedAt = e.Now() })
+	l.WaitOp(opFunc(func() { firedAt = e.Now() }), 0)
 	for _, d := range []float64{2, 4, 9} {
-		e.Schedule(d, l.Done)
+		e.ScheduleOp(d, opFunc(l.Done), 0)
 	}
 	e.Run()
 	if firedAt != 9 {
@@ -176,28 +179,9 @@ func TestLatchFiresAtZero(t *testing.T) {
 
 func TestLatchZeroCountFiresOnWait(t *testing.T) {
 	fired := false
-	NewLatch(0).Wait(func() { fired = true })
+	NewLatch(0).WaitOp(opFunc(func() { fired = true }), 0)
 	if !fired {
-		t.Error("zero-count latch did not fire on Wait")
-	}
-}
-
-func TestLatchAdd(t *testing.T) {
-	l := NewLatch(1)
-	l.Add(2)
-	fired := false
-	l.Wait(func() { fired = true })
-	l.Done()
-	l.Done()
-	if fired {
-		t.Error("latch fired early")
-	}
-	l.Done()
-	if !fired {
-		t.Error("latch never fired")
-	}
-	if l.Remaining() != 0 {
-		t.Errorf("Remaining = %d", l.Remaining())
+		t.Error("zero-count latch did not fire on WaitOp")
 	}
 }
 
@@ -214,24 +198,13 @@ func TestLatchOverdonePanics(t *testing.T) {
 
 func TestLatchDoubleWaitPanics(t *testing.T) {
 	l := NewLatch(1)
-	l.Wait(func() {})
+	l.WaitOp(opFunc(func() {}), 0)
 	defer func() {
 		if recover() == nil {
-			t.Error("double Wait did not panic")
+			t.Error("double WaitOp did not panic")
 		}
 	}()
-	l.Wait(func() {})
-}
-
-func TestLatchAddAfterFirePanics(t *testing.T) {
-	l := NewLatch(0)
-	l.Wait(func() {})
-	defer func() {
-		if recover() == nil {
-			t.Error("Add after fire did not panic")
-		}
-	}()
-	l.Add(1)
+	l.WaitOp(opFunc(func() {}), 0)
 }
 
 // TestRobotScenario models the paper's core contention pattern: three tape
@@ -243,14 +216,14 @@ func TestRobotScenario(t *testing.T) {
 	const moveTime = 7.6
 	var finishTimes []float64
 	for i := 0; i < 3; i++ {
-		e.Schedule(0, func() {
-			robot.Acquire(func(g *Grant) {
-				e.Schedule(2*moveTime, func() {
+		e.ScheduleOp(0, opFunc(func() {
+			robot.AcquireOp(granteeFunc(func(g *Grant) {
+				e.ScheduleOp(2*moveTime, opFunc(func() {
 					finishTimes = append(finishTimes, e.Now())
 					g.Release()
-				})
-			})
-		})
+				}), 0)
+			}))
+		}), 0)
 	}
 	e.Run()
 	want := []float64{15.2, 30.4, 45.6}
