@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test lint bench golden digests
+.PHONY: check build vet test lint bench golden digests fuzz
 
 check:
 	./check.sh
@@ -34,6 +34,14 @@ lint:
 # bench_digests.txt (about 35 s; not part of check).
 digests:
 	./bench_digests.sh
+
+# fuzz fuzzes clustering against its map-based reference implementation
+# for 60 s (FuzzRunMatchesReference in internal/cluster; not part of
+# check). Minimizing each new input is capped at 2 s; at the default of
+# 60 s the workers spend the run shrinking inputs grown from the 5 KB
+# seeds and the execution count stands still.
+fuzz:
+	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzRunMatchesReference$$' -fuzztime 60s -fuzzminimizetime 2s
 
 # bench runs the paper-exhibit benchmarks at reduced scale.
 bench:

@@ -60,8 +60,8 @@ func main() {
 		goStats  = flag.Bool("gostats", false, "print Go runtime metrics (GC, heap, scheduler) after the run")
 	)
 	flag.Parse()
-	if *progress < 0 {
-		fmt.Fprintln(os.Stderr, "tapebench: -progress must not be negative, got", *progress)
+	if err := checkFlags(*progress, *timeout, *mtbf); err != nil {
+		fmt.Fprintln(os.Stderr, "tapebench:", err)
 		os.Exit(1)
 	}
 
@@ -238,6 +238,25 @@ func histQuantile(h *metrics.Float64Histogram, q float64) float64 {
 		}
 	}
 	return h.Buckets[len(h.Buckets)-1]
+}
+
+// checkFlags rejects flag values a sweep would otherwise ignore, or reject
+// only after clustering. -timeout and -mtbf take the bounds of
+// tapesys.Options.Validate and faults.Profile.Validate, with or without
+// -faults.
+func checkFlags(progress time.Duration, timeout, mtbf float64) error {
+	if progress < 0 {
+		return fmt.Errorf("-progress must not be negative, got %v", progress)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"timeout", timeout}, {"mtbf", mtbf}} {
+		if !(f.v >= 0) {
+			return fmt.Errorf("-%s must be a non-negative number of seconds, got %v", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // run regenerates the selected exhibits, rendering each to out.

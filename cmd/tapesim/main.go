@@ -172,6 +172,20 @@ func run(o options) error {
 	if !(o.repair > 0) || math.IsInf(o.repair, 1) {
 		return fmt.Errorf("-repair must be a positive, finite number of seconds, got %v", o.repair)
 	}
+	// The bounds of tapesys.Options.Validate and faults.Profile.Validate,
+	// checked with or without -faults so a bad value fails here rather
+	// than after the placement (or not at all).
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"timeout", o.timeout}, {"retry-backoff", o.backoff}, {"mtbf", o.mtbf}} {
+		if !(f.v >= 0) {
+			return fmt.Errorf("-%s must be a non-negative number of seconds, got %v", f.name, f.v)
+		}
+	}
+	if !(o.mediaError >= 0 && o.mediaError <= 1) {
+		return fmt.Errorf("-media-error must be a probability in [0,1], got %v", o.mediaError)
+	}
 
 	// Create every output destination first, so an unwritable or
 	// uncreatable path fails in milliseconds at flag-handling time rather

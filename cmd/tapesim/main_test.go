@@ -81,7 +81,12 @@ func TestRunBadInputs(t *testing.T) {
 	// Negative counts and durations are errors: unchecked, -requests
 	// panics in makeslice, -events, -explain and -progress are silently
 	// ignored, and a negative -repair under -faults never finishes. So
-	// are a zero -m and -epochs, which would run the default of 4.
+	// are a zero -m and -epochs, which would run the default of 4. The
+	// simulator's timeout, backoff and fault bounds are checked as flags
+	// too, with or without -faults: unchecked, a NaN -timeout or
+	// -retry-backoff failed only after the placement, and a negative or
+	// NaN -mtbf or a -media-error above 1 passed without -faults. Each
+	// fails before the workload line is printed.
 	for _, c := range []struct {
 		flag string
 		set  func(o *options)
@@ -94,12 +99,43 @@ func TestRunBadInputs(t *testing.T) {
 		{"repair", func(o *options) { o.faults, o.mtbf, o.repair = true, 500, 0 }},
 		{"m", func(o *options) { o.m = 0 }},
 		{"epochs", func(o *options) { o.scheme, o.epochs = "online", 0 }},
+		{"timeout", func(o *options) { o.timeout = math.NaN() }},
+		{"timeout", func(o *options) { o.timeout = -1 }},
+		{"retry-backoff", func(o *options) { o.backoff = math.NaN() }},
+		{"mtbf", func(o *options) { o.mtbf = -1 }},
+		{"mtbf", func(o *options) { o.mtbf = math.NaN() }},
+		{"mtbf", func(o *options) { o.faults, o.mtbf = true, -1 }},
+		{"media-error", func(o *options) { o.mediaError = 2 }},
+		{"media-error", func(o *options) { o.mediaError = math.NaN() }},
 	} {
-		err := runSmall(t, "parallel-batch", c.set)
+		var err error
+		out := captureStdout(t, func() { err = runSmall(t, "parallel-batch", c.set) })
 		if err == nil || !strings.Contains(err.Error(), "-"+c.flag) {
 			t.Errorf("bad -%s: err = %v, want an error naming the flag", c.flag, err)
 		}
+		if out != "" {
+			t.Errorf("bad -%s: printed %q before failing", c.flag, out)
+		}
 	}
+}
+
+// captureStdout returns what fn writes to os.Stdout.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	old := os.Stdout
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = w
+	fn()
+	w.Close()
+	os.Stdout = old
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }
 
 func TestRunFromWorkloadTrace(t *testing.T) {
@@ -212,23 +248,13 @@ func TestRunCSVDetectionCaseInsensitive(t *testing.T) {
 // TestRunExplain drives -explain and checks the causal stories land on
 // stdout: one block per requested request, each with a critical path.
 func TestRunExplain(t *testing.T) {
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	runErr := runSmall(t, "parallel-batch", func(o *options) { o.explain = 2 })
-	w.Close()
-	os.Stdout = old
-	out, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var runErr error
+	text := captureStdout(t, func() {
+		runErr = runSmall(t, "parallel-batch", func(o *options) { o.explain = 2 })
+	})
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	text := string(out)
 	if got := strings.Count(text, "critical path:"); got != 2 {
 		t.Errorf("-explain 2 printed %d critical paths:\n%s", got, text)
 	}

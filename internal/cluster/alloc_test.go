@@ -46,11 +46,15 @@ func TestRunAllocBudget(t *testing.T) {
 // as the first Run in a process does. The allocation is dominated by
 // per-edge buffers: the pair-contribution stream and its radix-sort twin
 // (16 bytes each per contribution), the edge list (24 bytes per
-// contribution) and the adjacency arena, which holds each edge twice at
-// 36 bytes an entry and is allocated at twice that. That is about 200
-// bytes per edge when most pairs share one request, as here and at paper
-// scale; an arena that grows by doubling, a spare compaction buffer or an
-// edge-sized heap each pushes the figure well past the bound.
+// contribution), the adjacency arena, which holds each edge twice as an
+// 8-byte (key, handle) entry and is allocated at twice that, and one
+// 32-byte aggregate per edge. That is about 125 bytes per edge when most
+// pairs share one request, as here and at paper scale; an aggregate stored
+// per entry again (about 205), an arena that grows by doubling, a spare
+// compaction buffer or an edge-sized heap each pushes the figure past the
+// bound. The arena and the aggregates must also keep their first
+// allocation: the keys and handles at four entries per edge, the
+// aggregates at one per edge.
 func TestRunMemoryPerEdge(t *testing.T) {
 	p := workload.Defaults()
 	p.NumObjects = 10000
@@ -74,7 +78,7 @@ func TestRunMemoryPerEdge(t *testing.T) {
 	agglomerateInto(w, atoms, cfg, s)
 	runtime.ReadMemStats(&after)
 
-	const maxBytesPerEdge = 260
+	const maxBytesPerEdge = 150
 	edges := len(s.edges)
 	perEdge := float64(after.TotalAlloc-before.TotalAlloc) / float64(edges)
 	t.Logf("%d atoms, %d edges: %.0f bytes allocated per edge", len(atoms), edges, perEdge)
@@ -83,5 +87,13 @@ func TestRunMemoryPerEdge(t *testing.T) {
 	}
 	if cap(s.heap) > len(atoms) {
 		t.Errorf("merge heap grew to %d slots for %d atoms", cap(s.heap), len(atoms))
+	}
+	if len(s.links) != edges || cap(s.links) != edges {
+		t.Errorf("aggregate array has %d slots (capacity %d) for %d edges, want one per edge",
+			len(s.links), cap(s.links), edges)
+	}
+	if cap(s.nbrs) != 4*edges || cap(s.hands) != 4*edges {
+		t.Errorf("adjacency keys and handles have capacity %d and %d, want their first allocation of %d",
+			cap(s.nbrs), cap(s.hands), 4*edges)
 	}
 }

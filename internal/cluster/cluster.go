@@ -24,7 +24,12 @@
 // incidence as CSR index pairs, pairwise similarities as a sorted flat
 // entry slice aggregated by a single scan, and live-cluster adjacency as
 // sorted spans into one arena, allocated once at twice the initial entries
-// and compacted in place whenever its tail fills. A merge never shifts a
+// and compacted in place whenever its tail fills. An arena entry is a
+// neighbor key and a handle; each undirected link keeps its one aggregate
+// in a payload array indexed by that handle (the link's initial edge
+// index), sized to the initial edges and never grown or moved. Both
+// directions of a link share its handle, so a merge updates an aggregate
+// once and a retargeted entry moves 8 bytes. A merge never shifts a
 // neighbor's span: the absorbed cluster's entry stays in its sorted slot as
 // a tombstone, an entry whose key is a cluster that is no longer alive.
 // Spans therefore stay sorted with unique keys, every binary search for a
@@ -479,14 +484,14 @@ func mergeLink(x, y linkInfo) linkInfo {
 }
 
 // The adjacency arena stores neighbor records as two parallel arrays: the
-// neighbor cluster indices (nbrs, the search keys) and the pair-similarity
-// aggregates (links, the payloads). A live cluster's neighbors occupy one
-// nbr-sorted span [adjOff, adjOff+adjLen) of both arrays, so lookups are
-// binary searches and the deterministic "fold b's neighbors in ascending
-// key order" of the old map implementation becomes a linear merge walk.
-// Splitting keys from the 40-byte payloads keeps the searched data dense —
-// sixteen int32 keys per cache line instead of one or two full records —
-// which is most of the lookup cost at ~10^5 searches per run.
+// neighbor cluster indices (nbrs, the search keys) and the link handles
+// (hands), each an index into links, which holds one 32-byte aggregate per
+// undirected link. A live cluster's neighbors occupy one nbr-sorted span
+// [adjOff, adjOff+adjLen) of both arrays, so lookups are binary searches
+// and the deterministic "fold b's neighbors in ascending key order" of the
+// old map implementation becomes a linear merge walk. Keeping the keys in
+// their own array keeps the searched data dense — sixteen int32 keys per
+// cache line — which is most of the lookup cost at ~10^5 searches per run.
 
 // liveCluster is one active cluster during agglomeration. Member atoms are
 // kept as an intrusive linked list through agg.atomNext (head/tail splice
@@ -521,8 +526,9 @@ type agg struct {
 	clusters []liveCluster
 	atomNext []int32
 	bits     []uint64
-	nbrs     []int32    // adjacency keys (parallel to links)
-	links    []linkInfo // adjacency payloads
+	nbrs     []int32    // adjacency keys (parallel to hands)
+	hands    []int32    // adjacency handles into links
+	links    []linkInfo // one aggregate per undirected link, by handle
 	order    []int32    // compaction's span order (one slot per atom)
 	heap     []int32    // queued clusters, a binary heap ordered by before
 }
@@ -642,14 +648,14 @@ func (g *agg) dequeue(x int32) {
 func (g *agg) rescan(x int32) {
 	c := &g.clusters[x]
 	keys := g.nbrs[c.adjOff : c.adjOff+c.adjLen]
-	lis := g.links[c.adjOff : c.adjOff+c.adjLen]
+	hands := g.hands[c.adjOff : c.adjOff+c.adjLen]
 	best, bestSim := int32(-1), 0.0
 	for i := lowerBound(keys, x); i < len(keys); i++ {
 		k := &g.clusters[keys[i]]
 		if !k.alive {
 			continue
 		}
-		if sim, ok := g.eligible(c, k, lis[i]); ok && (best < 0 || sim > bestSim) {
+		if sim, ok := g.eligible(c, k, g.links[hands[i]]); ok && (best < 0 || sim > bestSim) {
 			best, bestSim = keys[i], sim
 		}
 	}
@@ -675,38 +681,38 @@ func (g *agg) raise(k, a int32, li linkInfo) {
 	}
 }
 
-// renameNbr rewrites k's entry for old to refer to new with aggregate li,
-// keeping k's span sorted. new must not already be present in the span
-// (guaranteed: renames happen only for neighbors adjacent to exactly one
-// of the merging pair). The entry is rotated directly from old's slot to
-// new's sorted slot, moving only the records between the two positions.
-func (g *agg) renameNbr(k, old, new int32, li linkInfo) {
+// renameNbr rewrites k's entry for old to refer to new, keeping k's span
+// sorted; the entry keeps its handle, so the link keeps its aggregate. new
+// must not already be present in the span (guaranteed: renames happen only
+// for neighbors adjacent to exactly one of the merging pair). The entry is
+// rotated directly from old's slot to new's sorted slot, moving only the
+// 8-byte (key, handle) records between the two positions.
+func (g *agg) renameNbr(k, old, new int32) {
 	cl := &g.clusters[k]
 	off, n := int(cl.adjOff), int(cl.adjLen)
 	keys := g.nbrs[off : off+n]
-	lis := g.links[off : off+n]
+	hands := g.hands[off : off+n]
 	po := findKey(keys, old)
+	h := hands[po]
 	lb := lowerBound(keys, new)
 	if lb > po {
 		lb--
 		copy(keys[po:lb], keys[po+1:lb+1])
-		copy(lis[po:lb], lis[po+1:lb+1])
+		copy(hands[po:lb], hands[po+1:lb+1])
 	} else {
 		copy(keys[lb+1:po+1], keys[lb:po])
-		copy(lis[lb+1:po+1], lis[lb:po])
+		copy(hands[lb+1:po+1], hands[lb:po])
 	}
 	keys[lb] = new
-	lis[lb] = li
+	hands[lb] = h
 }
 
-// mergeNbr gives k's entry for a the merged aggregate li; k's entry for the
-// absorbed cluster, already dead, stays in its sorted slot as one more
-// tombstone of k's span.
-func (g *agg) mergeNbr(k, a int32, li linkInfo) {
-	cl := &g.clusters[k]
-	off := int(cl.adjOff)
-	g.links[off+findKey(g.nbrs[off:off+int(cl.adjLen)], a)] = li
-	cl.dead++
+// mergeNbr records that k's entry for the absorbed cluster, already dead,
+// stays in its sorted slot as one more tombstone of k's span. k's entry for
+// the survivor needs no write: it shares its handle, and so the merged
+// aggregate, with the survivor's entry for k.
+func (g *agg) mergeNbr(k int32) {
+	g.clusters[k].dead++
 }
 
 // ensure makes room for need entries at the arena tail by compacting the
@@ -716,7 +722,8 @@ func (g *agg) mergeNbr(k, a int32, li linkInfo) {
 // live degrees) never exceeds the live entries, so after a compaction the
 // tail always has room and the arena never grows. Spans move in offset
 // order, so each lands at or below where it was and no copy overwrites an
-// entry not yet moved; a compacted span holds no tombstones.
+// entry not yet moved; a compacted span holds no tombstones. Handles move
+// with their keys; the aggregates they index stay where they are.
 func (g *agg) ensure(need int) {
 	if len(g.nbrs)+need <= cap(g.nbrs) {
 		return
@@ -736,19 +743,19 @@ func (g *agg) ensure(need int) {
 		off := n
 		if c.dead == 0 {
 			copy(g.nbrs[n:], g.nbrs[c.adjOff:c.adjOff+c.adjLen])
-			copy(g.links[n:], g.links[c.adjOff:c.adjOff+c.adjLen])
+			copy(g.hands[n:], g.hands[c.adjOff:c.adjOff+c.adjLen])
 			n += c.adjLen
 		} else {
 			for j := c.adjOff; j < c.adjOff+c.adjLen; j++ {
 				if g.clusters[g.nbrs[j]].alive {
-					g.nbrs[n], g.links[n] = g.nbrs[j], g.links[j]
+					g.nbrs[n], g.hands[n] = g.nbrs[j], g.hands[j]
 					n++
 				}
 			}
 		}
 		c.adjOff, c.adjLen, c.dead = off, n-off, 0
 	}
-	g.nbrs, g.links = g.nbrs[:n], g.links[:n]
+	g.nbrs, g.hands = g.nbrs[:n], g.hands[:n]
 }
 
 // union merges cluster b into a (a keeps its index), assuming a, b are live
@@ -756,7 +763,8 @@ func (g *agg) ensure(need int) {
 // is written at the arena tail by a linear merge of a's and b's spans in
 // ascending neighbor order, skipping tombstones on both sides (b, dead by
 // then, is one of a's); for each neighbor taken from b's side the reverse
-// edge is retargeted, and each such neighbor below a has its heap entry
+// edge is retargeted, a shared neighbor's merged aggregate is written once
+// into its link with a, and each such neighbor below a has its heap entry
 // raised to the new pair where it beats it. a's rebuilt span holds no
 // tombstones; b leaves the heap and a's entry is recomputed from scratch.
 //
@@ -783,9 +791,9 @@ func (g *agg) union(a, b int32, sim float64) {
 	g.dequeue(b)
 
 	ka := g.nbrs[ca.adjOff : ca.adjOff+ca.adjLen]
-	la := g.links[ca.adjOff : ca.adjOff+ca.adjLen]
+	ha := g.hands[ca.adjOff : ca.adjOff+ca.adjLen]
 	kb := g.nbrs[cb.adjOff : cb.adjOff+cb.adjLen]
-	lb := g.links[cb.adjOff : cb.adjOff+cb.adjLen]
+	hb := g.hands[cb.adjOff : cb.adjOff+cb.adjLen]
 	base := len(g.nbrs)
 	ia, ib := 0, 0
 	for ia < len(ka) && ib < len(kb) {
@@ -809,26 +817,27 @@ func (g *agg) union(a, b int32, sim float64) {
 				run++
 			}
 			g.nbrs = append(g.nbrs, ka[ia:run]...)
-			g.links = append(g.links, la[ia:run]...)
+			g.hands = append(g.hands, ha[ia:run]...)
 			ia = run
 		case kb[ib] < ka[ia]:
-			// Neighbor of b only: a inherits the aggregate; retarget the
-			// reverse edge.
-			k, li := kb[ib], lb[ib]
+			// Neighbor of b only: a inherits the link and its aggregate;
+			// retarget the reverse edge.
+			k, h := kb[ib], hb[ib]
 			g.nbrs = append(g.nbrs, k)
-			g.links = append(g.links, li)
-			g.renameNbr(k, b, a, li)
-			g.raise(k, a, li)
+			g.hands = append(g.hands, h)
+			g.renameNbr(k, b, a)
+			g.raise(k, a, g.links[h])
 			ib++
 		default:
-			// Shared neighbor: merge the aggregates (a's first, matching
-			// the old fold's mergeLink(prev, li) argument order).
-			k := ka[ia]
-			li := mergeLink(la[ia], lb[ib])
+			// Shared neighbor: merge the aggregates into the a–k link (a's
+			// first, matching the old fold's mergeLink(prev, li) argument
+			// order); the b–k link dies with b.
+			k, h := ka[ia], ha[ia]
+			g.links[h] = mergeLink(g.links[h], g.links[hb[ib]])
 			g.nbrs = append(g.nbrs, k)
-			g.links = append(g.links, li)
-			g.mergeNbr(k, a, li)
-			g.raise(k, a, li)
+			g.hands = append(g.hands, h)
+			g.mergeNbr(k)
+			g.raise(k, a, g.links[h])
 			ia++
 			ib++
 		}
@@ -844,7 +853,7 @@ func (g *agg) union(a, b int32, sim float64) {
 			run++
 		}
 		g.nbrs = append(g.nbrs, ka[ia:run]...)
-		g.links = append(g.links, la[ia:run]...)
+		g.hands = append(g.hands, ha[ia:run]...)
 		ia = run
 	}
 	// b's tail: still needs the per-entry retarget and raise.
@@ -852,11 +861,11 @@ func (g *agg) union(a, b int32, sim float64) {
 		if kb[ib] == a || !g.clusters[kb[ib]].alive {
 			continue
 		}
-		k, li := kb[ib], lb[ib]
+		k, h := kb[ib], hb[ib]
 		g.nbrs = append(g.nbrs, k)
-		g.links = append(g.links, li)
-		g.renameNbr(k, b, a, li)
-		g.raise(k, a, li)
+		g.hands = append(g.hands, h)
+		g.renameNbr(k, b, a)
+		g.raise(k, a, g.links[h])
 	}
 	ca.adjOff = int32(base)
 	ca.adjLen = int32(len(g.nbrs) - base)
@@ -885,7 +894,8 @@ func agglomerateInto(w *model.Workload, atoms []atom, cfg Config, s *scratch) []
 		bitsArena[i] = 0
 	}
 	nbrs := growSlice(s.nbrs, 4*len(edges))[:2*len(edges)]
-	links := growSlice(s.links, 4*len(edges))[:2*len(edges)]
+	hands := growSlice(s.hands, 4*len(edges))[:2*len(edges)]
+	links := growSlice(s.links, len(edges))
 	off := int32(0)
 	for i := range atoms {
 		clusters[i] = liveCluster{
@@ -910,16 +920,17 @@ func agglomerateInto(w *model.Workload, atoms []atom, cfg Config, s *scratch) []
 	g := &agg{
 		cfg: cfg, words: words,
 		clusters: clusters, atomNext: atomNext,
-		bits: bitsArena, nbrs: nbrs, links: links,
+		bits: bitsArena, nbrs: nbrs, hands: hands, links: links,
 		order: degree, heap: growSlice(s.heap, n)[:0],
 	}
-	// Initial fill: edges are sorted by (a, b), so filling both directions
+	// Initial fill: edge h's aggregate is links[h], and both directions
+	// store handle h. Edges are sorted by (a, b), so filling both directions
 	// in edge order leaves every span sorted by neighbor.
 	cur := growSlice(s.cursor, n)
 	for i := range clusters {
 		cur[i] = clusters[i].adjOff
 	}
-	for _, e := range edges {
+	for h, e := range edges {
 		ca, cb := &clusters[e.a], &clusters[e.b]
 		li := linkInfo{
 			sumSim: e.sim * float64(ca.objects*cb.objects),
@@ -927,9 +938,10 @@ func agglomerateInto(w *model.Workload, atoms []atom, cfg Config, s *scratch) []
 			maxSim: e.sim,
 			pairs:  ca.objects * cb.objects,
 		}
-		g.nbrs[cur[e.a]], g.links[cur[e.a]] = int32(e.b), li
+		g.links[h] = li
+		g.nbrs[cur[e.a]], g.hands[cur[e.a]] = int32(e.b), int32(h)
 		cur[e.a]++
-		g.nbrs[cur[e.b]], g.links[cur[e.b]] = int32(e.a), li
+		g.nbrs[cur[e.b]], g.hands[cur[e.b]] = int32(e.a), int32(h)
 		cur[e.b]++
 	}
 	s.cursor = cur
@@ -945,7 +957,7 @@ func agglomerateInto(w *model.Workload, atoms []atom, cfg Config, s *scratch) []
 		x := g.heap[0]
 		cx := &clusters[x]
 		if cp := &clusters[cx.partner]; cp.alive {
-			li := g.links[int(cx.adjOff)+findKey(g.nbrs[cx.adjOff:cx.adjOff+cx.adjLen], cx.partner)]
+			li := g.links[g.hands[int(cx.adjOff)+findKey(g.nbrs[cx.adjOff:cx.adjOff+cx.adjLen], cx.partner)]]
 			if sim, ok := g.eligible(cx, cp, li); ok && sim == cx.bound {
 				// Merge the smaller adjacency into the larger, counting live
 				// neighbors: span lengths include tombstones, and comparing
@@ -964,7 +976,7 @@ func agglomerateInto(w *model.Workload, atoms []atom, cfg Config, s *scratch) []
 	// Write the scratch-owned state back (compaction reslices the arena)
 	// before materializing the freshly allocated output.
 	s.clusters, s.atomNext, s.bits, s.degree = g.clusters, g.atomNext, g.bits, degree
-	s.nbrs, s.links, s.heap = g.nbrs, g.links, g.heap
+	s.nbrs, s.hands, s.links, s.heap = g.nbrs, g.hands, g.links, g.heap
 
 	nAlive, totObjs := 0, 0
 	for i := range clusters {

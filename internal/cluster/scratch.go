@@ -33,13 +33,16 @@ type scratch struct {
 
 	// agglomerate: the cluster table; the degree pre-count, reused as
 	// compaction's span order; atom lists; request bitsets; the adjacency
-	// arena (keys and aggregates), allocated at twice the initial entries
-	// and compacted in place, never grown; and the heap, one slot per atom.
+	// arena (keys and link handles), allocated at twice the initial entries
+	// and compacted in place, never grown; the link aggregates, one per
+	// initial edge, indexed by handle and never moved; and the heap, one
+	// slot per atom.
 	clusters []liveCluster
 	degree   []int32
 	atomNext []int32
 	bits     []uint64
 	nbrs     []int32
+	hands    []int32
 	links    []linkInfo
 	heap     []int32
 }

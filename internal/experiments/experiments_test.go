@@ -3,10 +3,13 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"paralleltape/internal/dist"
+	"paralleltape/internal/faults"
 	"paralleltape/internal/placement"
 	"paralleltape/internal/telemetry"
 )
@@ -445,21 +448,37 @@ func TestChaosQuickSeed53Completes(t *testing.T) {
 
 // TestConfigNegativeCounts: a negative Requests, Workers or Seeds is an
 // error from both entry points; unchecked, each would run as its default
-// (tapebench -requests -5 would simulate 200 requests per run).
+// (tapebench -requests -5 would simulate 200 requests per run). So are a
+// negative or NaN RequestTimeout and a fault profile that
+// faults.Profile.Validate rejects, which would otherwise fail only after
+// clustering, or pass. A valid timeout and profile still pass validate.
 func TestConfigNegativeCounts(t *testing.T) {
-	for name, set := range map[string]func(c *Config){
-		"Requests": func(c *Config) { c.Requests = -5 },
-		"Workers":  func(c *Config) { c.Workers = -3 },
-		"Seeds":    func(c *Config) { c.Seeds = -1 },
+	for _, c := range []struct {
+		name string
+		set  func(c *Config)
+	}{
+		{"Requests", func(c *Config) { c.Requests = -5 }},
+		{"Workers", func(c *Config) { c.Workers = -3 }},
+		{"Seeds", func(c *Config) { c.Seeds = -1 }},
+		{"RequestTimeout", func(c *Config) { c.RequestTimeout = -1 }},
+		{"RequestTimeout", func(c *Config) { c.RequestTimeout = math.NaN() }},
+		{"DriveMTBF", func(c *Config) { c.Faults = &faults.Profile{DriveMTBF: -1} }},
+		{"MediaErrorPerRead", func(c *Config) { c.Faults = &faults.Profile{MediaErrorPerRead: math.NaN()} }},
 	} {
 		cfg := quickCfg()
-		set(&cfg)
-		if _, err := ByID("fig9", cfg); err == nil || !strings.Contains(err.Error(), name) {
-			t.Errorf("ByID with negative %s: err = %v, want an error naming it", name, err)
+		c.set(&cfg)
+		if _, err := ByID("fig9", cfg); err == nil || !strings.Contains(err.Error(), c.name) {
+			t.Errorf("ByID with bad %s: err = %v, want an error naming it", c.name, err)
 		}
-		if _, err := All(cfg); err == nil || !strings.Contains(err.Error(), name) {
-			t.Errorf("All with negative %s: err = %v, want an error naming it", name, err)
+		if _, err := All(cfg); err == nil || !strings.Contains(err.Error(), c.name) {
+			t.Errorf("All with bad %s: err = %v, want an error naming it", c.name, err)
 		}
+	}
+	cfg := quickCfg()
+	cfg.RequestTimeout = 10
+	cfg.Faults = &faults.Profile{DriveMTBF: 500, DriveRepair: dist.Exponential{Mean: 600}}
+	if err := cfg.validate(); err != nil {
+		t.Errorf("valid timeout and fault profile rejected: %v", err)
 	}
 }
 

@@ -36,6 +36,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"runtime"
 	"sync"
@@ -136,7 +137,9 @@ func Quick() Config {
 
 // validate rejects negative counts: zero Requests, Workers or Seeds
 // selects a default, and a negative one would otherwise run as that
-// default without a word.
+// default without a word. It also applies the simulator's checks of
+// RequestTimeout and Faults up front, so a bad value fails before any
+// workload is generated or clustered.
 func (c Config) validate() error {
 	for _, f := range []struct {
 		name string
@@ -144,6 +147,14 @@ func (c Config) validate() error {
 	}{{"Requests", c.Requests}, {"Workers", c.Workers}, {"Seeds", c.Seeds}} {
 		if f.n < 0 {
 			return fmt.Errorf("experiments: %s must not be negative, got %d", f.name, f.n)
+		}
+	}
+	if c.RequestTimeout < 0 || math.IsNaN(c.RequestTimeout) {
+		return fmt.Errorf("experiments: RequestTimeout must be >= 0, got %v", c.RequestTimeout)
+	}
+	if c.Faults != nil {
+		if err := c.Faults.Validate(); err != nil {
+			return fmt.Errorf("experiments: %w", err)
 		}
 	}
 	return nil

@@ -125,10 +125,10 @@ func (o Options) Validate() error {
 		return fmt.Errorf("tapesys: negative shard count %d", o.Shards)
 	}
 	if o.RequestTimeout < 0 || math.IsNaN(o.RequestTimeout) {
-		return fmt.Errorf("tapesys: negative request timeout %v", o.RequestTimeout)
+		return fmt.Errorf("tapesys: request timeout must be >= 0, got %v", o.RequestTimeout)
 	}
 	if o.RetryBackoff < 0 || math.IsNaN(o.RetryBackoff) {
-		return fmt.Errorf("tapesys: negative retry backoff %v", o.RetryBackoff)
+		return fmt.Errorf("tapesys: retry backoff must be >= 0, got %v", o.RetryBackoff)
 	}
 	if o.Faults != nil {
 		if err := o.Faults.Validate(); err != nil {
